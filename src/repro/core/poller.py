@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dataflow import EpochClock
@@ -153,6 +154,24 @@ class RateTable:
         return len(self._latest)
 
 
+class _RowOids:
+    """The instance OIDs a poll reads for one ifIndex."""
+
+    __slots__ = ("counters", "oper_status", "speed")
+
+    def __init__(self, index: int) -> None:
+        self.counters = tuple(column.extend(index) for column in _COLUMNS)
+        self.oper_status = IF_OPER_STATUS.extend(index)
+        self.speed = IF_SPEED.extend(index)
+
+
+@lru_cache(maxsize=4096)
+def _row_oids(index: int) -> _RowOids:
+    """The instance OIDs polled for ``index``, built once and shared by
+    every target (ifIndexes are port numbers, so the cache stays small)."""
+    return _RowOids(index)
+
+
 @dataclass
 class PollTarget:
     """One SNMP agent and the interfaces to poll on it."""
@@ -167,12 +186,12 @@ class PollTarget:
     def oids(self) -> List[Oid]:
         out: List[Oid] = [SYS_UPTIME]
         for index in self.if_indexes:
-            for column in _COLUMNS:
-                out.append(column + str(index))
+            row = _row_oids(index)
+            out.extend(row.counters)
             if self.include_oper_status:
-                out.append(IF_OPER_STATUS + str(index))
+                out.append(row.oper_status)
             if self.include_speed:
-                out.append(IF_SPEED + str(index))
+                out.append(row.speed)
         return out
 
     def columns(self) -> List[Oid]:
@@ -591,35 +610,30 @@ class SnmpPoller:
             self._m_parse_errors.inc()
             return
         for index in target.if_indexes:
+            row = _row_oids(index)
             if target.include_oper_status and self.on_status is not None:
-                status = values.get(IF_OPER_STATUS + str(index))
+                status = values.get(row.oper_status)
                 if isinstance(status, Integer):
                     self.on_status(target.node, index, status.value == IF_STATUS_UP)
             try:
-                snapshot = _CounterSnapshot(
-                    uptime=uptime,
-                    octets_in=self._counter(values, IF_IN_OCTETS, index),
-                    octets_out=self._counter(values, IF_OUT_OCTETS, index),
-                    ucast_in=self._counter(values, IF_IN_UCAST_PKTS, index),
-                    ucast_out=self._counter(values, IF_OUT_UCAST_PKTS, index),
-                    nucast_in=self._counter(values, IF_IN_NUCAST_PKTS, index),
-                    nucast_out=self._counter(values, IF_OUT_NUCAST_PKTS, index),
-                )
+                # row.counters follow _COLUMNS, the snapshot field order.
+                counters = [self._counter(values, oid) for oid in row.counters]
             except KeyError:
                 self._m_parse_errors.inc()
                 continue
+            snapshot = _CounterSnapshot(uptime, *counters)
             polled_speed = None
             if target.include_speed:
-                speed_value = values.get(IF_SPEED + str(index))
+                speed_value = values.get(row.speed)
                 if isinstance(speed_value, Gauge32):
                     polled_speed = float(speed_value.value)
             self._ingest(target.node, index, snapshot, polled_speed)
 
     @staticmethod
-    def _counter(values: Dict[Oid, object], column: Oid, index: int) -> Counter32:
-        value = values.get(column + str(index))
+    def _counter(values: Dict[Oid, object], oid: Oid) -> Counter32:
+        value = values.get(oid)
         if not isinstance(value, Counter32):
-            raise KeyError(str(column))
+            raise KeyError(str(oid))
         return value
 
     def _ingest(

@@ -394,14 +394,14 @@ class IntegrityPipeline:
                     self._last_offence[key] = now
 
     def _sync_trust_gauge(self, key: Key) -> None:
-        rec = self.quarantine.record(*key)
+        quarantine = self.quarantine
+        rec = quarantine.record(*key)
         self._metrics["trust"].labels(interface=f"{key[0]}:{key[1]}").set(
             round(rec.score, 4)
         )
-        quarantined = len(self.quarantine.quarantined_keys())
-        self._metrics["quarantined"].set(float(quarantined))
-        total_q = sum(r.quarantines for r in self.quarantine.records().values())
-        total_r = sum(r.releases for r in self.quarantine.records().values())
+        self._metrics["quarantined"].set(float(quarantine.quarantined_count))
+        total_q = quarantine.total_quarantines
+        total_r = quarantine.total_releases
         q_counter = self._metrics["quarantines"]
         r_counter = self._metrics["releases"]
         if total_q > q_counter.value:

@@ -72,6 +72,11 @@ class QuarantineManager:
         self.recover_step = recover_step
         self.events = events
         self._records: Dict[Key, TrustRecord] = {}
+        # Running totals over the records, kept by ``_update_state`` so
+        # per-sample gauge syncs never rescan them.
+        self.quarantined_count = 0
+        self.total_quarantines = 0
+        self.total_releases = 0
         # Epochs bump on quarantine enter/release only -- trust-score
         # drift between the thresholds does not change what the bandwidth
         # calculator sees, so it must not invalidate caches.
@@ -134,6 +139,8 @@ class QuarantineManager:
             rec.quarantined = True
             rec.quarantined_since = now
             rec.quarantines += 1
+            self.quarantined_count += 1
+            self.total_quarantines += 1
             self._epochs.bump((node, if_index))
             if self.events is not None:
                 self.events.publish(
@@ -148,6 +155,8 @@ class QuarantineManager:
             since = rec.quarantined_since
             rec.quarantined_since = None
             rec.releases += 1
+            self.quarantined_count -= 1
+            self.total_releases += 1
             self._epochs.bump((node, if_index))
             if self.events is not None:
                 self.events.publish(

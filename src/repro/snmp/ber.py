@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Tuple
 
-from repro.snmp.oid import Oid, OidError
+from repro.snmp.oid import Oid, oid_from_arcs
 
 # Universal tags.
 TAG_INTEGER = 0x02
@@ -204,14 +204,13 @@ def _decode_oid_content_uncached(content: bytes) -> Oid:
     if in_arc:
         raise BerError("truncated base-128 arc in OID")
     combined = subids[0]
+    # Base-128 subidentifiers are non-negative by construction, and there
+    # are at least two arcs: nothing left for ``Oid`` to validate.
     if combined < 80:
-        arcs = [combined // 40, combined % 40] + subids[1:]
+        arcs = (combined // 40, combined % 40, *subids[1:])
     else:
-        arcs = [2, combined - 80] + subids[1:]
-    try:
-        return Oid(arcs)
-    except OidError as exc:  # pragma: no cover - defensive
-        raise BerError(str(exc)) from exc
+        arcs = (2, combined - 80, *subids[1:])
+    return oid_from_arcs(arcs)
 
 
 @lru_cache(maxsize=16384)

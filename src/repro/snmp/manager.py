@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.snmp import ber
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject
@@ -512,15 +512,16 @@ class _BulkWalk:
     """State machine behind :meth:`SnmpManager.poll_interfaces`.
 
     Walks every counter column in parallel with chained GetBulk requests,
-    keeping a per-column cursor and done flag.  Classification of response
-    varbinds is by column-prefix match, not position, so it tolerates both
-    this model's column-major response layout and the row-interleaved
-    layout RFC 1905 describes.
+    keeping a per-column cursor and done flag (lists indexed by column
+    position).  Classification of response varbinds is by column-prefix
+    match on arc tuples, not position, so it tolerates both this model's
+    column-major response layout and the row-interleaved layout RFC 1905
+    describes.
     """
 
     __slots__ = (
-        "manager", "dst_ip", "columns", "callback", "errback", "community",
-        "max_exchanges", "min_idx", "max_idx", "cursors", "cursor_rows",
+        "manager", "dst_ip", "columns", "col_arcs", "callback", "errback",
+        "community", "max_exchanges", "max_idx", "cursors", "cursor_rows",
         "done", "collected", "extra", "exchanges", "include_uptime",
         "finished",
     )
@@ -541,20 +542,19 @@ class _BulkWalk:
         self.manager = manager
         self.dst_ip = dst_ip
         self.columns = columns
+        self.col_arcs = [col.arcs for col in columns]
         self.callback = callback
         self.errback = errback
         self.community = community
         self.max_exchanges = max(1, max_exchanges)
-        self.min_idx = min(if_indexes)
         self.max_idx = max(if_indexes)
         # A cursor is the last OID seen in a column (exclusive): GetBulk
         # resumes at get_next(cursor).  Seeding at row min-1 makes the
         # first returned row the first one we actually want.
-        self.cursors: Dict[Oid, Oid] = {
-            col: col + str(self.min_idx - 1) for col in columns
-        }
-        self.cursor_rows: Dict[Oid, int] = {col: self.min_idx - 1 for col in columns}
-        self.done: Dict[Oid, bool] = {col: False for col in columns}
+        start = min(if_indexes) - 1
+        self.cursors: List[Oid] = [col.extend(start) for col in columns]
+        self.cursor_rows: List[int] = [start] * len(columns)
+        self.done: List[bool] = [False] * len(columns)
         self.collected: List[VarBind] = []
         self.extra: List[VarBind] = []  # the sysUpTime non-repeater result
         self.exchanges = 0
@@ -563,11 +563,11 @@ class _BulkWalk:
 
     def issue(self) -> None:
         """Send the next exchange of the walk."""
-        live = [col for col in self.columns if not self.done[col]]
+        live = [c for c, done in enumerate(self.done) if not done]
         if not live:
             self._finish()
             return
-        reps = max(self.max_idx - self.cursor_rows[col] for col in live)
+        reps = max(self.max_idx - self.cursor_rows[c] for c in live)
         reps = max(1, min(reps, MAX_BULK_REPETITIONS))
         oids: List[Oid] = []
         non_repeaters = 0
@@ -576,7 +576,7 @@ class _BulkWalk:
             # the instance itself would return its successor instead.
             oids.append(SYS_UPTIME[: len(SYS_UPTIME) - 1])
             non_repeaters = 1
-        oids.extend(self.cursors[col] for col in live)
+        oids.extend(self.cursors[c] for c in live)
         self.exchanges += 1
         self.manager.get_bulk(
             self.dst_ip, oids, self._on_response, self._on_error,
@@ -587,49 +587,53 @@ class _BulkWalk:
     def _on_response(self, varbinds: List[VarBind]) -> None:
         if self.finished:
             return
-        progressed: set = set()
+        done = self.done
+        progressed = [False] * len(done)
         for vb in varbinds:
-            col = self._classify(vb.oid)
-            if col is None:
+            arcs = vb.oid.arcs
+            c = self._classify(arcs)
+            if c < 0:
                 # Non-repeater result (sysUpTime) -- or an out-of-table
                 # OID an exhausted column walked into; the former only
                 # arrives on the first exchange before any column rows.
                 if not self.collected and len(self.extra) < 1:
                     self.extra.append(vb)
                 continue
-            if self.done[col]:
+            if done[c]:
                 continue
             if isinstance(vb.value, (EndOfMibView, NoSuchObject, NoSuchInstance)):
-                self.done[col] = True
+                done[c] = True
                 continue
-            row = vb.oid.arcs[len(col.arcs)] if len(vb.oid.arcs) > len(col.arcs) else -1
-            if row <= self.cursor_rows[col]:
+            width = len(self.col_arcs[c])
+            row = arcs[width] if len(arcs) > width else -1
+            if row <= self.cursor_rows[c]:
                 continue  # duplicate/stale; progress judged per column below
             if row > self.max_idx:
-                self.done[col] = True
+                done[c] = True
                 continue
             self.collected.append(vb)
-            self.cursors[col] = vb.oid
-            self.cursor_rows[col] = row
-            progressed.add(col)
+            self.cursors[c] = vb.oid
+            self.cursor_rows[c] = row
+            progressed[c] = True
             if row == self.max_idx:
-                self.done[col] = True
+                done[c] = True
         # A column that neither advanced nor terminated would loop the
         # same cursor forever (e.g. the whole column is absent and the
         # agent's walk left the table immediately): declare it done.
-        for col in self.columns:
-            if not self.done[col] and col not in progressed:
-                self.done[col] = True
-        if all(self.done.values()) or self.exchanges >= self.max_exchanges:
+        for c, advanced in enumerate(progressed):
+            if not advanced:
+                done[c] = True
+        if all(done) or self.exchanges >= self.max_exchanges:
             self._finish()
         else:
             self.issue()
 
-    def _classify(self, oid: Oid) -> Optional[Oid]:
-        for col in self.columns:
-            if oid.startswith(col):
-                return col
-        return None
+    def _classify(self, arcs: Tuple[int, ...]) -> int:
+        """Position of the first column ``arcs`` lies under, else -1."""
+        for c, col in enumerate(self.col_arcs):
+            if arcs[: len(col)] == col:
+                return c
+        return -1
 
     def _on_error(self, exc: Exception) -> None:
         if self.finished:

@@ -21,7 +21,8 @@ enumerate rows on demand.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
 
 from repro.snmp.datatypes import (
@@ -33,7 +34,7 @@ from repro.snmp.datatypes import (
     SnmpValue,
     TimeTicks,
 )
-from repro.snmp.oid import Oid
+from repro.snmp.oid import Oid, oid_from_arcs
 
 Accessor = Callable[[], SnmpValue]
 
@@ -99,7 +100,11 @@ class MibError(RuntimeError):
 
 
 class MibProvider(Protocol):
-    """A dynamic subtree: rows are enumerated at query time."""
+    """A dynamic subtree: rows are enumerated at query time.
+
+    Every row a provider serves lies under its ``prefix``;
+    :meth:`MibTree.get_next` relies on that to skip it.
+    """
 
     prefix: Oid
 
@@ -118,7 +123,10 @@ class MibTree:
 
     def __init__(self) -> None:
         self._static: Dict[Oid, Accessor] = {}
+        # Registered instances in order, with their arc tuples alongside
+        # so the successor search bisects with C tuple compares.
         self._sorted: List[Oid] = []
+        self._sorted_arcs: List[Tuple[int, ...]] = []
         self._providers: List[MibProvider] = []
 
     # ------------------------------------------------------------------
@@ -131,7 +139,9 @@ class MibTree:
             raise MibError(f"OID {oid} registered twice")
         accessor: Accessor = value if callable(value) else (lambda v=value: v)
         self._static[oid] = accessor
-        insort(self._sorted, oid)
+        idx = bisect_right(self._sorted_arcs, oid.arcs)
+        self._sorted.insert(idx, oid)
+        self._sorted_arcs.insert(idx, oid.arcs)
 
     def register_provider(self, provider: MibProvider) -> None:
         for existing in self._providers:
@@ -156,13 +166,21 @@ class MibTree:
         return None
 
     def get_next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        """Smallest registered instance strictly greater than ``oid``."""
+        """Smallest registered instance strictly greater than ``oid``.
+
+        A provider is asked only when the best answer so far does not
+        sort before its prefix: every row it serves starts with that
+        prefix, so it could not win.  An ifTable walk thus never makes a
+        switch enumerate its forwarding database.
+        """
         best: Optional[Tuple[Oid, SnmpValue]] = None
-        idx = bisect_right(self._sorted, oid)
+        idx = bisect_right(self._sorted_arcs, oid.arcs)
         if idx < len(self._sorted):
             candidate = self._sorted[idx]
             best = (candidate, self._static[candidate]())
         for provider in self._providers:
+            if best is not None and best[0].arcs < provider.prefix.arcs:
+                continue
             hit = provider.next(oid)
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = hit
@@ -385,41 +403,43 @@ class BridgeFdbProvider:
 
     def __init__(self, switch) -> None:
         self.switch = switch
+        # Rows in OID order, and their arc tuples alongside for bisect.
         self._cache: List[Tuple[Oid, SnmpValue]] = []
+        self._arcs: List[Tuple[int, ...]] = []
         self._cache_key = (-1, -1.0)
 
-    def _rows(self) -> List[Tuple[Oid, SnmpValue]]:
+    def _refresh(self) -> None:
         key = (
             self.switch.fdb_version,
             self.switch.sim.now // self._AGE_GRANULARITY,
         )
         if key == self._cache_key:
-            return self._cache
-        rows: List[Tuple[Oid, SnmpValue]] = []
+            return
+        rows: List[Tuple[Tuple[int, ...], SnmpValue]] = []
         for mac, port_index, _age in self.switch.fdb_entries():
-            index = tuple(mac.to_bytes())
-            rows.append((Oid(DOT1D_TP_FDB_ADDRESS.arcs + index),
-                         OctetString(mac.to_bytes())))
-            rows.append((Oid(DOT1D_TP_FDB_PORT.arcs + index),
-                         Integer(port_index)))
-            rows.append((Oid(DOT1D_TP_FDB_STATUS.arcs + index),
+            raw = mac.to_bytes()
+            index = tuple(raw)
+            rows.append((DOT1D_TP_FDB_ADDRESS.arcs + index, OctetString(raw)))
+            rows.append((DOT1D_TP_FDB_PORT.arcs + index, Integer(port_index)))
+            rows.append((DOT1D_TP_FDB_STATUS.arcs + index,
                          Integer(FDB_STATUS_LEARNED)))
-        rows.sort(key=lambda r: r[0])
-        self._cache = rows
+        rows.sort(key=itemgetter(0))
+        self._arcs = [arcs for arcs, _value in rows]
+        self._cache = [(oid_from_arcs(arcs), value) for arcs, value in rows]
         self._cache_key = key
-        return rows
 
     def get(self, oid: Oid) -> Optional[SnmpValue]:
-        for row_oid, value in self._rows():
-            if row_oid == oid:
-                return value
+        self._refresh()
+        arcs = oid.arcs
+        idx = bisect_left(self._arcs, arcs)
+        if idx < len(self._arcs) and self._arcs[idx] == arcs:
+            return self._cache[idx][1]
         return None
 
     def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        for row_oid, value in self._rows():
-            if row_oid > oid:
-                return (row_oid, value)
-        return None
+        self._refresh()
+        idx = bisect_right(self._arcs, oid.arcs)
+        return self._cache[idx] if idx < len(self._cache) else None
 
 
 class BridgeStpProvider:
@@ -429,36 +449,46 @@ class BridgeStpProvider:
     (disabled(1) / blocking(2) / forwarding(5)) per switch port.  The
     monitor's topology-sync loop walks this column to map the switch's
     active tree onto the topology graph's blocked-connection view.
+
+    Row OIDs are built once per set of ports; values are read live.
     """
 
     prefix = DOT1D_STP_PORT_ENTRY
 
     def __init__(self, switch) -> None:
         self.switch = switch
+        self._ports: Tuple[int, ...] = ()
+        # (OID, port, is-state-column) rows in OID order, arcs alongside.
+        self._rows: List[Tuple[Oid, int, bool]] = []
+        self._arcs: List[Tuple[int, ...]] = []
 
-    def _rows(self) -> List[Tuple[Oid, SnmpValue]]:
-        stp = self.switch.stp
-        rows: List[Tuple[Oid, SnmpValue]] = []
-        for iface in self.switch.interfaces:
-            i = iface.if_index
-            rows.append((Oid(DOT1D_STP_PORT.arcs + (i,)), Integer(i)))
-        for iface in self.switch.interfaces:
-            i = iface.if_index
-            rows.append(
-                (Oid(DOT1D_STP_PORT_STATE.arcs + (i,)),
-                 Integer(stp.port_state_value(i)))
-            )
-        return rows
+    def _refresh(self) -> None:
+        ports = tuple(iface.if_index for iface in self.switch.interfaces)
+        if ports == self._ports:
+            return
+        rows = [(DOT1D_STP_PORT.arcs + (i,), i, False) for i in ports]
+        rows += [(DOT1D_STP_PORT_STATE.arcs + (i,), i, True) for i in ports]
+        rows.sort(key=itemgetter(0))
+        self._arcs = [arcs for arcs, _port, _state in rows]
+        self._rows = [(oid_from_arcs(arcs), port, state) for arcs, port, state in rows]
+        self._ports = ports
+
+    def _value(self, port: int, state: bool) -> SnmpValue:
+        return Integer(self.switch.stp.port_state_value(port) if state else port)
 
     def get(self, oid: Oid) -> Optional[SnmpValue]:
-        for row_oid, value in self._rows():
-            if row_oid == oid:
-                return value
+        self._refresh()
+        arcs = oid.arcs
+        idx = bisect_left(self._arcs, arcs)
+        if idx < len(self._arcs) and self._arcs[idx] == arcs:
+            _oid, port, state = self._rows[idx]
+            return self._value(port, state)
         return None
 
     def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        best: Optional[Tuple[Oid, SnmpValue]] = None
-        for row_oid, value in self._rows():
-            if row_oid > oid and (best is None or row_oid < best[0]):
-                best = (row_oid, value)
-        return best
+        self._refresh()
+        idx = bisect_right(self._arcs, oid.arcs)
+        if idx == len(self._rows):
+            return None
+        row_oid, port, state = self._rows[idx]
+        return (row_oid, self._value(port, state))

@@ -4,6 +4,11 @@ An OID is a sequence of non-negative integer arcs, written in dotted
 notation (``1.3.6.1.2.1.2.2.1.10.3`` is ``ifInOctets`` for interface 3).
 MIB traversal (GETNEXT / walking a table) depends on the *lexicographic*
 order of OIDs, which :class:`Oid` implements via plain tuple comparison.
+
+Public construction (``Oid(...)``) parses and validates every arc.  OIDs
+derived from already-valid ones -- concatenation, slicing, parents, BER
+decode -- go through :func:`oid_from_arcs`, which skips that work: the
+poll path builds and compares thousands of them per cycle.
 """
 
 from __future__ import annotations
@@ -62,23 +67,26 @@ class Oid:
             part = self._arcs[index]
             if not part:
                 raise OidError("OID slice would be empty")
-            return Oid(part)
+            return oid_from_arcs(part)
         return self._arcs[index]
 
     def extend(self, *arcs: int) -> "Oid":
-        """A new OID with extra arcs appended."""
-        return Oid(self._arcs + arcs)
+        """A new OID with extra arcs appended (only those are validated)."""
+        extra = tuple(int(a) for a in arcs)
+        if any(a < 0 for a in extra):
+            raise OidError(f"negative arc in {extra!r}")
+        return oid_from_arcs(self._arcs + extra)
 
     def __add__(self, other: OidLike) -> "Oid":
-        return Oid(self._arcs + Oid(other)._arcs)
+        return oid_from_arcs(self._arcs + _arcs_of(other))
 
     def startswith(self, prefix: OidLike) -> bool:
-        p = Oid(prefix)._arcs
+        p = _arcs_of(prefix)
         return self._arcs[: len(p)] == p
 
     def strip_prefix(self, prefix: OidLike) -> Tuple[int, ...]:
         """The arcs after ``prefix`` (raises if not actually a prefix)."""
-        p = Oid(prefix)._arcs
+        p = _arcs_of(prefix)
         if self._arcs[: len(p)] != p:
             raise OidError(f"{self} does not start with {Oid(prefix)}")
         return self._arcs[len(p):]
@@ -87,7 +95,7 @@ class Oid:
     def parent(self) -> "Oid":
         if len(self._arcs) <= 1:
             raise OidError(f"{self} has no parent")
-        return Oid(self._arcs[:-1])
+        return oid_from_arcs(self._arcs[:-1])
 
     # ------------------------------------------------------------------
     # Ordering / identity
@@ -110,6 +118,18 @@ class Oid:
 
     def __repr__(self) -> str:
         return f"Oid('{self}')"
+
+
+def oid_from_arcs(arcs: Tuple[int, ...]) -> Oid:
+    """An :class:`Oid` over a non-empty tuple of non-negative ints,
+    which the caller guarantees: nothing is parsed or checked."""
+    oid = object.__new__(Oid)
+    oid._arcs = arcs
+    return oid
+
+
+def _arcs_of(value: OidLike) -> Tuple[int, ...]:
+    return value._arcs if isinstance(value, Oid) else Oid(value)._arcs
 
 
 # Well-known roots used throughout the package.

@@ -301,6 +301,47 @@ class TestQuarantineManager:
         rec = qm.record("A", 1)
         assert rec.releases <= rec.quarantines
 
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["violation", "suspect", "clean"]),
+            st.sampled_from([("A", 1), ("B", 2)]),
+            st.integers(1, 7),  # a burst: release needs six clean polls
+        ),
+        max_size=40,
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_running_counts_match_a_full_rescan(self, bursts):
+        """The O(1) quarantine totals, and the gauge and counters the
+        pipeline syncs from them, equal a rescan of every trust record."""
+        pipeline = IntegrityPipeline(speeds={}, poll_interval=POLL)
+        qm = pipeline.quarantine
+        registry = pipeline.telemetry.registry
+        moves = [(move, key) for move, key, n in bursts for _ in range(n)]
+        for i, (move, (node, if_index)) in enumerate(moves):
+            t = float(i)
+            if move == "clean":
+                # No known speed and no snapshots: every validator passes.
+                assert pipeline.inspect(
+                    sample(node=node, if_index=if_index, time=t), None, None
+                ) == (not qm.is_quarantined(node, if_index))
+            else:
+                sev = Severity.VIOLATION if move == "violation" else Severity.SUSPECT
+                pipeline.apply_external_verdicts(
+                    [IntegrityVerdict(check="rate_bound", severity=sev,
+                                      node=node, if_index=if_index, time=t)],
+                    t,
+                )
+            records = qm.records().values()
+            quarantined = len(qm.quarantined_keys())
+            total_q = sum(r.quarantines for r in records)
+            total_r = sum(r.releases for r in records)
+            assert qm.quarantined_count == quarantined
+            assert qm.total_quarantines == total_q
+            assert qm.total_releases == total_r
+            assert registry.value("quarantined_interfaces") == float(quarantined)
+            assert registry.value("integrity_quarantines_total") == total_q
+            assert registry.value("integrity_quarantine_releases_total") == total_r
+
 
 # ----------------------------------------------------------------------
 # Cross-checking

@@ -90,3 +90,51 @@ class TestStructure:
     def test_empty_slice_rejected(self):
         with pytest.raises(OidError):
             Oid("1.3")[2:2]
+
+
+class TestValidationBoundary:
+    """Derived OIDs skip re-validating arcs that are already valid; the
+    public constructor and every new arc still go through the checks."""
+
+    @pytest.mark.parametrize(
+        "bad", ["", "  ", ".", "1..2", "1.x.2", "1.-2", [], (), [1, -2], [-1]]
+    )
+    def test_public_constructor_still_rejects(self, bad):
+        with pytest.raises(OidError):
+            Oid(bad)
+
+    @pytest.mark.parametrize("bad", ["", "x", "1..2", "-1", [-3]])
+    def test_concatenated_part_is_validated(self, bad):
+        with pytest.raises(OidError):
+            Oid("1.3") + bad
+
+    def test_extended_arcs_are_validated(self):
+        with pytest.raises(OidError):
+            Oid("1.3").extend(6, -1)
+        with pytest.raises(ValueError):
+            Oid("1.3").extend("x")
+
+    def test_prefix_arguments_are_validated(self):
+        with pytest.raises(OidError):
+            Oid("1.3.6").startswith("1..3")
+        with pytest.raises(OidError):
+            Oid("1.3.6").strip_prefix("")
+
+    def test_derived_oids_equal_public_ones(self):
+        base = Oid("1.3.6.1.2.1.2.2.1.10")
+        derived = [base + "7", base.extend(7), (base + "7.0").parent,
+                   Oid("1.3.6.1.2.1.2.2.1.10.7.9")[:-1]]
+        public = Oid("1.3.6.1.2.1.2.2.1.10.7")
+        for oid in derived:
+            assert type(oid) is Oid
+            assert oid == public and hash(oid) == hash(public)
+            assert not oid < public and not public < oid
+            assert str(oid) == str(public)
+
+    def test_ber_decoded_oid_equals_public_one(self):
+        from repro.snmp.ber import decode_oid_content, encode_oid_content
+
+        for text in ("1.3.6.1.2.1.1.3.0", "2.999.3", "0.39"):
+            oid = Oid(text)
+            decoded = decode_oid_content(encode_oid_content(oid))
+            assert type(decoded) is Oid and decoded == oid
