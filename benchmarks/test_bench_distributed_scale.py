@@ -16,7 +16,9 @@ properties from the refactor issue:
   scale.
 - **>= 80 % uplink traffic reduction, quiescent.**  With no offered
   load, shard uplinks ship deltas (ADVANCE/CHANGED records) whose byte
-  cost is at most a fifth of the legacy JSON encoding's.
+  cost is at most a fifth of what the same batches cost in the JSON
+  encoding of ``tests/oracles/json_batch.py`` (priced from the batches
+  each leaf actually shipped).
 - **Leaf failover re-coverage <= 3 cycles.**  Killing a leaf
   coordinator mid-run must leave every watched path in its shard back
   to trusted reports within three poll intervals.
@@ -34,6 +36,7 @@ from repro.core.hierarchy import HierarchicalMonitor
 from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.simnet.faults import WorkerCrash
 from repro.spec.builder import build_network
+from tests.oracles.json_batch import ShippedBatches
 
 PODS, SWITCHES, HOSTS = 4, 5, 50  # 1000 end hosts, 21 switch agents
 POLL = 2.0
@@ -74,12 +77,14 @@ def _exchanges(dm):
 def steady_run():
     """The refactored plane, quiescent, 15 cycles; also wall-timed."""
     build, dm = _plane("bulk")
+    meters = [ShippedBatches(leaf.shipper) for leaf in dm.leaves.values()]
     dm.start()
     t0 = time.perf_counter()
     build.network.run(STEADY_UNTIL)
     wall = time.perf_counter() - t0
     shipped = sum(l.shipper.bytes_shipped for l in dm.leaves.values())
-    baseline = sum(l.shipper.bytes_baseline for l in dm.leaves.values())
+    assert shipped == sum(m.bytes_shipped for m in meters)
+    baseline = sum(m.bytes_baseline for m in meters)
     out = {
         "stats": dm.stats(),
         "exchanges_per_cycle": _exchanges(dm) / STEADY_CYCLES,
@@ -95,7 +100,7 @@ def steady_run():
 @pytest.fixture(scope="module")
 def per_varbind_run():
     """The naive baseline: same plane, one GET per varbind, no window."""
-    build, dm = _plane("per-varbind", pipeline_window=0, delta_shipping=False)
+    build, dm = _plane("per-varbind", pipeline_window=0)
     dm.start()
     build.network.run(BASELINE_UNTIL)
     out = {"exchanges_per_cycle": _exchanges(dm) / BASELINE_CYCLES}

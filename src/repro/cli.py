@@ -239,11 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max in-flight poll units per worker, 0 = unbounded "
              "(default: 8 with --hierarchy, 0 otherwise)",
     )
-    p_dist.add_argument(
-        "--delta", choices=("on", "off"), default=None,
-        help="delta-encode shipped sample batches "
-             "(default: on with --hierarchy, off otherwise)",
-    )
     p_dist.add_argument("--until", type=float, default=40.0, help="simulated seconds")
     p_dist.add_argument("--interval", type=float, default=2.0, help="poll interval")
 
@@ -1161,7 +1156,6 @@ def cmd_distributed(args) -> int:
     hierarchy = args.hierarchy
     mode = args.mode or ("bulk" if hierarchy else "get")
     window = args.window if args.window is not None else (8 if hierarchy else 0)
-    delta = (args.delta == "on") if args.delta else bool(hierarchy)
     try:
         if hierarchy:
             from repro.core.hierarchy import HierarchicalMonitor
@@ -1217,7 +1211,6 @@ def cmd_distributed(args) -> int:
                 poll_interval=args.interval,
                 poll_mode=mode,
                 pipeline_window=window,
-                delta_shipping=delta,
             )
         else:
             dm = DistributedMonitor(
@@ -1227,7 +1220,6 @@ def cmd_distributed(args) -> int:
                 poll_interval=args.interval,
                 poll_mode=mode,
                 pipeline_window=window,
-                delta_shipping=delta,
             )
         labels = [dm.watch_path(*_parse_watch(w)) for w in watches]
         for load_text in args.load:
@@ -1271,7 +1263,6 @@ def cmd_distributed(args) -> int:
             )
             print(f"  {name:>8}: {leaf.requests_sent} SNMP exchanges, "
                   f"uplink keyframes/batches {ratio}, "
-                  f"delta reduction {shipper.traffic_reduction:.1%}, "
                   f"pipeline window peak {leaf.window_peak}")
     elif window:
         print("\npipeline windows:")

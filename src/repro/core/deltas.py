@@ -1,12 +1,12 @@
 """Wire-level delta shipping for rate samples (the dataflow layer).
 
 Workers (and leaf coordinators) ship rate samples upstream every poll
-cycle.  At 10k-host scale the legacy JSON batches are dominated by bytes
-that never change: node names, interface indexes, and -- on a quiescent
-network -- the rates themselves, which sit at exactly ``0.0`` cycle after
-cycle.  This module defines a compact binary batch format in which a
-sender tracks the last value it shipped per (node, ifIndex) key and
-encodes only what changed:
+cycle.  Most of a self-describing encoding of those samples would be
+bytes that never change: node names, interface indexes, and -- on a
+quiescent network -- the rates themselves, which sit at exactly ``0.0``
+cycle after cycle.  This module defines the plane's sample batch format,
+a compact binary one in which a sender tracks the last value it shipped
+per (node, ifIndex) key and encodes only what changed:
 
 ``full``
     First appearance of a key: numeric id assignment, node name,
@@ -16,24 +16,23 @@ encodes only what changed:
     Known key whose rates moved: id plus the six float fields.
 ``advance``
     Known key whose four rates are bit-identical to the last shipped
-    sample: id, new sample time, new interval.  ~18 bytes instead of a
-    ~90-byte JSON document.
+    sample: id, new sample time, new interval.  ~18 bytes instead of the
+    ~90 a JSON document of the sample would take.
 ``advance (same interval)``
     As above with the interval also unchanged: id and time only.
 ``refresh``
     Keyframe filler: re-states a key's mapping and last value for
     resynchronising receivers, but is *not* delivered as a sample (a
     receiver that was never desynchronised must not see duplicate
-    samples, or the delta path would stop being bit-identical to the
-    legacy path).
+    samples, or it would no longer receive exactly the samples the
+    sender measured).
 
 Floats travel as IEEE-754 doubles (``struct '<d'``), so a decoded sample
 is **bit-identical** to the sample the sender measured -- the delta path
 changes the wire cost, never the data.
 
-Every batch carries the same (worker, incarnation, seq) envelope as the
-legacy JSON batches, so the sequencing/ARQ machinery in
-:mod:`repro.core.distributed` applies unchanged.  Decoding is split into
+Every batch carries a (worker, incarnation, seq) envelope for the
+sequencing/ARQ machinery in :mod:`repro.core.distributed`.  Decoding is split into
 a stateless :func:`parse_delta` (safe on out-of-order arrivals, feeds the
 reorder buffer) and a stateful :meth:`DeltaDecoder.apply` that must run
 in sequence order at delivery time.
@@ -114,7 +113,11 @@ def _get_str(data: bytes, pos: int) -> Tuple[str, int]:
     length, pos = _get_varint(data, pos)
     if pos + length > len(data):
         raise DeltaError("truncated string")
-    return data[pos : pos + length].decode(), pos + length
+    try:
+        text = data[pos : pos + length].decode()
+    except UnicodeDecodeError as exc:
+        raise DeltaError(f"undecodable string: {exc.reason}") from None
+    return text, pos + length
 
 
 # Six float fields of a sample, in wire order.
@@ -143,7 +146,7 @@ def _sample(node: str, if_index: int, fields: Sequence[float]) -> InterfaceRates
 
 
 def is_delta(payload: bytes) -> bool:
-    """Whether a datagram is a binary delta batch (vs legacy JSON)."""
+    """Whether a datagram is a sample batch (vs a JSON control message)."""
     return len(payload) > 0 and payload[0] == DELTA_MAGIC
 
 

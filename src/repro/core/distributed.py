@@ -18,8 +18,10 @@ machine (alive -> suspect -> dead -> recovering, with hysteresis on the
 way back) and publishes transitions on the telemetry event bus.
 
 **Reliable sample shipping.**  Samples travel in *sequenced, batched
-report datagrams*: each worker stamps batches with a per-incarnation
-monotonic sequence number and keeps a bounded drop-oldest resend buffer.
+report datagrams* in the binary delta format of :mod:`repro.core.deltas`
+(a quiescent interface costs a few bytes per batch): each worker stamps
+batches with a per-incarnation monotonic sequence number and keeps a
+bounded drop-oldest resend buffer.
 The coordinator detects sequence gaps (from later batches, or from the
 ``next_seq`` carried by heartbeats), requests selective retransmits
 (ARQ with capped retries and exponential backoff) and, when a gap is
@@ -64,6 +66,7 @@ from repro.core.bandwidth import BandwidthCalculator
 from repro.core.counters import required_poll_targets
 from repro.core.dataflow import DegradedSourceSet
 from repro.core.deltas import (
+    DeltaBatch,
     DeltaDecoder,
     DeltaEncoder,
     DeltaError,
@@ -89,67 +92,9 @@ CONTROL_PORT = 8766  # each worker's assignment/retransmit listener
 
 
 # ----------------------------------------------------------------------
-# Wire codecs (JSON keeps every message debuggable on the simulated wire)
+# Control messages (JSON keeps them debuggable on the simulated wire;
+# sample batches travel in the binary format of repro.core.deltas)
 # ----------------------------------------------------------------------
-def _sample_doc(sample: InterfaceRates) -> Dict[str, object]:
-    return {
-        "n": sample.node,
-        "i": sample.if_index,
-        "t": sample.time,
-        "d": sample.interval,
-        "ib": sample.in_bytes_per_s,
-        "ob": sample.out_bytes_per_s,
-        "ip": sample.in_pkts_per_s,
-        "op": sample.out_pkts_per_s,
-    }
-
-
-def _sample_from_doc(doc: Dict[str, object]) -> InterfaceRates:
-    return InterfaceRates(
-        node=doc["n"],
-        if_index=int(doc["i"]),
-        time=float(doc["t"]),
-        interval=float(doc["d"]),
-        in_bytes_per_s=float(doc["ib"]),
-        out_bytes_per_s=float(doc["ob"]),
-        in_pkts_per_s=float(doc["ip"]),
-        out_pkts_per_s=float(doc["op"]),
-    )
-
-
-def encode_sample(sample: InterfaceRates) -> bytes:
-    """Wire form of one bare rate sample (kept for tooling and tests;
-    the plane itself ships samples inside sequenced batches)."""
-    return json.dumps(_sample_doc(sample)).encode()
-
-
-def decode_sample(payload: bytes) -> InterfaceRates:
-    """Inverse of :func:`encode_sample`.
-
-    Raises ``ValueError``/``KeyError``/``TypeError`` on malformed input
-    (bad JSON, missing keys, type-confused documents such as a JSON list
-    or non-numeric fields); callers must treat all three as decode
-    failures.
-    """
-    doc = json.loads(payload.decode())
-    return _sample_from_doc(doc)
-
-
-def encode_batch(
-    worker: str, incarnation: int, seq: int, samples: Sequence[InterfaceRates]
-) -> bytes:
-    """One sequenced report datagram carrying several samples."""
-    return json.dumps(
-        {
-            "k": "batch",
-            "w": worker,
-            "inc": incarnation,
-            "q": seq,
-            "s": [_sample_doc(s) for s in samples],
-        }
-    ).encode()
-
-
 def encode_heartbeat(
     worker: str, incarnation: int, next_seq: int, assign_version: int
 ) -> bytes:
@@ -167,7 +112,7 @@ def encode_heartbeat(
 
 
 def decode_message(payload: bytes) -> Dict[str, object]:
-    """Decode any plane message; the ``"k"`` key discriminates.
+    """Decode any control message; the ``"k"`` key discriminates.
 
     Raises ``ValueError``/``KeyError``/``TypeError`` on malformed input.
     """
@@ -183,48 +128,20 @@ def _targets_doc(targets: Sequence[PollTarget]) -> List[Dict[str, object]]:
     ]
 
 
-def partition_targets(
-    pool: Sequence[PollTarget], worker_hosts: Sequence[str]
-) -> Dict[str, List[PollTarget]]:
-    """Deterministic affinity-first assignment of ``pool`` over workers.
-
-    A target whose node *is* a listed worker goes to that worker (polling
-    thyself costs loopback only); the rest round-robin over the workers
-    in the given order.  Same inputs, same map -- this one function is
-    initial assignment, failover and failback alike, at both tiers of
-    the coordinator tree (workers under a coordinator, shards under the
-    hierarchy root).
-    """
-    assignments: Dict[str, List[PollTarget]] = {w: [] for w in worker_hosts}
-    leftovers: List[PollTarget] = []
-    for target in sorted(pool, key=lambda t: t.node):
-        if target.node in assignments:
-            assignments[target.node].append(target)
-        else:
-            leftovers.append(target)
-    for i, target in enumerate(leftovers):
-        assignments[worker_hosts[i % len(worker_hosts)]].append(target)
-    return assignments
-
-
 # ----------------------------------------------------------------------
 # Send-side shipping (shared by workers and leaf coordinators)
 # ----------------------------------------------------------------------
 class SampleShipper:
-    """Sequenced, batched, optionally delta-encoded sample shipping.
+    """Sequenced, batched, delta-encoded sample shipping.
 
     Owns the per-incarnation monotonic sequence number, the bounded
-    drop-oldest resend buffer, and (when ``delta=True``) the
+    drop-oldest resend buffer, and the
     :class:`~repro.core.deltas.DeltaEncoder` whose last-shipped tracking
     turns quiescent batches into a few bytes per interface.  ``send`` is
     the owner's transmit function, so the same shipper serves a worker
     shipping to its coordinator and a leaf coordinator shipping to the
-    hierarchy root.
-
-    Byte accounting: ``bytes_shipped`` is what actually left;
-    ``bytes_baseline`` is what the legacy JSON encoding of the same
-    samples would have cost -- their ratio is the delta path's measured
-    traffic reduction, not an estimate.
+    hierarchy root.  ``bytes_shipped`` counts what actually left (first
+    transmissions; retransmits are counted by ``retransmits_served``).
     """
 
     def __init__(
@@ -233,7 +150,6 @@ class SampleShipper:
         send: Callable[[bytes], None],
         max_batch: int = 8,
         resend_buffer: int = 32,
-        delta: bool = False,
         keyframe_every: int = 16,
     ) -> None:
         if max_batch < 1:
@@ -248,13 +164,12 @@ class SampleShipper:
         self._next_seq = 1
         self._pending: List[InterfaceRates] = []
         self._resend: "OrderedDict[int, bytes]" = OrderedDict()
-        self.delta: Optional[DeltaEncoder] = DeltaEncoder(name) if delta else None
+        self.delta = DeltaEncoder(name)
         self.keyframe_every = keyframe_every
         self._since_keyframe = 0
         self.samples_shipped = 0
         self.batches_shipped = 0
         self.bytes_shipped = 0
-        self.bytes_baseline = 0
         self.keyframes_shipped = 0
         self.retransmits_served = 0
         self.retransmits_missed = 0
@@ -264,8 +179,7 @@ class SampleShipper:
         return self._next_seq
 
     def force_keyframe(self) -> None:
-        if self.delta is not None:
-            self.delta.force_keyframe()
+        self.delta.force_keyframe()
 
     def enqueue(self, sample: InterfaceRates) -> bool:
         """Queue one sample; True when the batch is full (caller flushes)."""
@@ -279,26 +193,19 @@ class SampleShipper:
         self._next_seq += 1
         samples = self._pending
         self._pending = []
-        baseline = encode_batch(self.name, self.incarnation, seq, samples)
-        if self.delta is not None:
-            due = (
-                self.keyframe_every > 0
-                and self._since_keyframe + 1 >= self.keyframe_every
-            )
-            payload = self.delta.encode(
-                self.incarnation, seq, samples, keyframe=due
-            )
-            if payload[1] & 0x01:  # the encoder may also have had one pending
-                self._since_keyframe = 0
-                self.keyframes_shipped += 1
-            else:
-                self._since_keyframe += 1
+        due = (
+            self.keyframe_every > 0
+            and self._since_keyframe + 1 >= self.keyframe_every
+        )
+        payload = self.delta.encode(self.incarnation, seq, samples, keyframe=due)
+        if payload[1] & 0x01:  # the encoder may also have had one pending
+            self._since_keyframe = 0
+            self.keyframes_shipped += 1
         else:
-            payload = baseline
+            self._since_keyframe += 1
         self.samples_shipped += len(samples)
         self.batches_shipped += 1
         self.bytes_shipped += len(payload)
-        self.bytes_baseline += len(baseline)
         self._resend[seq] = payload
         while len(self._resend) > self.resend_buffer:
             self._resend.popitem(last=False)  # drop-oldest: bounded memory
@@ -324,13 +231,6 @@ class SampleShipper:
                 ).encode()
             )
 
-    @property
-    def traffic_reduction(self) -> float:
-        """Fraction of baseline bytes the delta encoding saved."""
-        if self.bytes_baseline <= 0:
-            return 0.0
-        return 1.0 - self.bytes_shipped / self.bytes_baseline
-
     def reset(self, incarnation: int) -> None:
         """The owning process restarted: new incarnation, fresh state."""
         self.incarnation = incarnation
@@ -338,75 +238,60 @@ class SampleShipper:
         self._pending.clear()
         self._resend.clear()
         self._since_keyframe = 0
-        if self.delta is not None:
-            self.delta.reset()
+        self.delta.reset()
 
 
-# ----------------------------------------------------------------------
-# Worker
-# ----------------------------------------------------------------------
-class MonitorWorker:
-    """One polling worker: manager + poller + shipping on its own host.
+class UplinkEndpoint:
+    """The sending end of one sequenced sample stream.
 
-    Samples accumulate into batches (flushed when ``max_batch`` fills or
-    every ``batch_linger`` seconds) and are shipped with a per-
-    incarnation monotonic sequence number; the last ``resend_buffer``
-    encoded batches are kept for selective retransmission, drop-oldest.
-    ``crash()``/``restart()`` simulate the worker process dying and
-    coming back (used by :class:`~repro.simnet.faults.WorkerCrash`): a
-    restarted worker bumps its incarnation, restarts its sequence at 1,
-    and rejoins with *no* poll targets -- its first heartbeat advertises
-    assignment version 0 and the coordinator ships the current
-    assignment back.
+    A :class:`MonitorWorker` ships to its coordinator and a
+    :class:`~repro.core.hierarchy.LeafCoordinator` ships to the hierarchy
+    root; to the receiver both are this endpoint.  Samples accumulate in
+    a :class:`SampleShipper` (flushed when ``max_batch`` fills or every
+    ``batch_linger`` seconds), heartbeats carry the next seq and the
+    applied assignment version, and a control listener serves ``retx``,
+    ``assign`` and ``kfreq``.  ``crash()``/``restart()`` simulate the
+    process dying and coming back (used by
+    :class:`~repro.simnet.faults.WorkerCrash`): a restarted endpoint
+    bumps its incarnation, restarts its sequence at 1 and rejoins at
+    assignment version 0, so the receiver ships the current assignment
+    back.
+
+    Subclasses supply what differs: :meth:`_adopt` applies a new target
+    list and :meth:`_reopen` rebuilds process state after a restart.
     """
 
     def __init__(
         self,
         build: BuildResult,
         host_name: str,
-        targets: Sequence[PollTarget],
-        coordinator_ip: IPv4Address,
+        upstream_ip: IPv4Address,
         poll_interval: float,
-        jitter: float,
-        seed: int,
-        heartbeat_interval: Optional[float] = None,
-        batch_linger: Optional[float] = None,
-        max_batch: int = 8,
-        resend_buffer: int = 32,
-        poll_mode: str = "get",
-        pipeline_window: int = 0,
-        delta_shipping: bool = False,
-        keyframe_every: int = 16,
-        control_port: int = CONTROL_PORT,
+        heartbeat_interval: Optional[float],
+        batch_linger: Optional[float],
+        max_batch: int,
+        resend_buffer: int,
+        keyframe_every: int,
     ) -> None:
         self.build = build
         self.name = host_name
         self.host = build.network.host(host_name)
         self.sim = self.host.sim
-        self.coordinator_ip = coordinator_ip
+        self.upstream_ip = upstream_ip
         self.poll_interval = poll_interval
-        self.jitter = jitter
-        self.seed = seed
-        self.poll_mode = poll_mode
-        self.pipeline_window = pipeline_window
-        self.control_port = control_port
         self.heartbeat_interval = (
             heartbeat_interval if heartbeat_interval is not None else poll_interval * 0.4
         )
         self.batch_linger = (
             batch_linger if batch_linger is not None else poll_interval * 0.25
         )
-        self.max_batch = max_batch
-        self.resend_buffer = resend_buffer
-        # Shipping (sequencing, resend buffer, optional delta encoding)
-        # lives in the shipper: the only send-side state, bounded, so a
-        # dead coordinator can never wedge this worker.
+        # Shipping state lives in the shipper: the only send-side state,
+        # bounded, so a dead receiver can never wedge this endpoint.
         self.shipper = SampleShipper(
             host_name,
-            self._send_report,
+            self._send_up,
             max_batch=max_batch,
             resend_buffer=resend_buffer,
-            delta=delta_shipping,
             keyframe_every=keyframe_every,
         )
         self.assign_version = 0
@@ -414,84 +299,20 @@ class MonitorWorker:
         self._started = False
         self._hb_task = None
         self._flush_task = None
-        # Statistics (shipping counters live on the shipper).
         self.heartbeats_sent = 0
         self.assignments_applied = 0
-        self._build_stack(list(targets))
 
-    # -- shipping statistics (the attribute names are the old API) -----
     @property
     def incarnation(self) -> int:
         return self.shipper.incarnation
 
-    @property
-    def samples_shipped(self) -> int:
-        return self.shipper.samples_shipped
+    def _open_sockets(self) -> None:
+        self._uplink = self.host.create_socket()
+        self._listener = self.host.create_socket(CONTROL_PORT)
+        self._listener.on_receive = self._on_control
 
-    @property
-    def batches_shipped(self) -> int:
-        return self.shipper.batches_shipped
-
-    @property
-    def retransmits_served(self) -> int:
-        return self.shipper.retransmits_served
-
-    @property
-    def retransmits_missed(self) -> int:
-        return self.shipper.retransmits_missed
-
-    @property
-    def requests_sent(self) -> int:
-        return self.manager.requests_sent
-
-    # -- construction / teardown ---------------------------------------
-    def _build_stack(self, targets: List[PollTarget]) -> None:
-        """(Re)create manager, poller and sockets (fresh after restart)."""
-        self.manager = SnmpManager(self.host)
-        self.poller = SnmpPoller(
-            self.manager,
-            targets,
-            interval=self.poll_interval,
-            jitter=self.jitter,
-            seed=self.seed,
-            rate_table=RateTable(keep_history=False),
-            poll_mode=self.poll_mode,
-            pipeline_window=self.pipeline_window,
-        )
-        self.poller.on_sample = self._enqueue
-        self._report_socket = self.host.create_socket()
-        self._control_socket = self.host.create_socket(self.control_port)
-        self._control_socket.on_receive = self._on_control
-
-    def _send_report(self, payload: bytes) -> None:
-        self._report_socket.sendto(payload, (self.coordinator_ip, REPORT_PORT))
-
-    def _begin_tasks(self) -> None:
-        if self.crashed:
-            return  # crashed before the scheduled start; restart() re-runs this
-        start = self.sim.now
-        self.poller.start(first_poll_at=start)
-        self._hb_task = self.sim.call_every(
-            self.heartbeat_interval, self._heartbeat, start=start
-        )
-        self._flush_task = self.sim.call_every(
-            self.batch_linger, self._flush, start=start + self.batch_linger
-        )
-
-    def _teardown(self) -> None:
-        self.poller.stop()
-        if self._hb_task is not None:
-            self._hb_task.cancel()
-            self._hb_task = None
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            self._flush_task = None
-        self.manager.cancel_all()  # drop in-flight polls so nothing ships late
-        # Close every socket so the host's ports are reusable (a stopped
-        # or crashed plane must be restartable on the same host).
-        self.manager.socket.close()
-        self._report_socket.close()
-        self._control_socket.close()
+    def _send_up(self, payload: bytes) -> None:
+        self._uplink.sendto(payload, (self.upstream_ip, REPORT_PORT))
 
     # -- lifecycle ------------------------------------------------------
     def start(self, at: Optional[float] = None) -> None:
@@ -501,13 +322,35 @@ class MonitorWorker:
         else:
             self.sim.schedule_at(at, self._begin_tasks)
 
+    def _begin_tasks(self) -> None:
+        if self.crashed:
+            return  # crashed before the scheduled start; restart() re-runs this
+        start = self.sim.now
+        self._hb_task = self.sim.call_every(
+            self.heartbeat_interval, self._heartbeat, start=start
+        )
+        self._flush_task = self.sim.call_every(
+            self.batch_linger, self._flush, start=start + self.batch_linger
+        )
+
+    def _teardown(self) -> None:
+        """Stop the periodic tasks and close the sockets, so a stopped or
+        crashed endpoint's ports are reusable on the same host."""
+        for attr in ("_hb_task", "_flush_task"):
+            task = getattr(self, attr)
+            if task is not None:
+                task.cancel()
+                setattr(self, attr, None)
+        self._uplink.close()
+        self._listener.close()
+
     def stop(self) -> None:
         self._started = False
         if not self.crashed:
             self._teardown()
 
     def crash(self) -> None:
-        """The worker process dies: no polls, no heartbeats, no shipping."""
+        """The process dies: no heartbeats, no shipping, no control."""
         if self.crashed:
             return
         self.crashed = True
@@ -515,16 +358,19 @@ class MonitorWorker:
 
     def restart(self) -> None:
         """The process comes back: new incarnation, sequence restarts at
-        1, resend buffer and counter baselines are gone, and the worker
-        rejoins with no targets until the coordinator re-assigns."""
+        1, the resend buffer is gone, and assignment version 0 makes the
+        receiver re-ship the current assignment."""
         if not self.crashed:
             return
         self.crashed = False
         self.shipper.reset(self.shipper.incarnation + 1)
         self.assign_version = 0
-        self._build_stack([])
+        self._reopen()
         if self._started:
             self._begin_tasks()
+
+    def _reopen(self) -> None:
+        raise NotImplementedError
 
     # -- shipping --------------------------------------------------------
     def _enqueue(self, sample: InterfaceRates) -> None:
@@ -540,7 +386,7 @@ class MonitorWorker:
         if self.crashed:
             return
         self.heartbeats_sent += 1
-        self._send_report(
+        self._send_up(
             encode_heartbeat(
                 self.name, self.incarnation, self.shipper.next_seq,
                 self.assign_version,
@@ -579,9 +425,97 @@ class MonitorWorker:
             )
             for t in doc["t"]
         ]
-        added = {t.node for t in targets} - {t.node for t in self.poller.targets}
         self.assign_version = version
         self.assignments_applied += 1
+        self._adopt(version, targets)
+
+    def _adopt(self, version: int, targets: List[PollTarget]) -> None:
+        raise NotImplementedError
+
+
+# ----------------------------------------------------------------------
+# Worker
+# ----------------------------------------------------------------------
+class MonitorWorker(UplinkEndpoint):
+    """One polling worker: manager + poller on its own host, shipping
+    to the coordinator through the shared :class:`UplinkEndpoint`.
+
+    A restarted worker's counter baselines are gone too, and it rejoins
+    with *no* poll targets until the coordinator re-assigns.
+    """
+
+    # Bound in this class's own namespace so per-class instrumentation
+    # (perfbench/tracer.py) can wrap them.
+    _enqueue = UplinkEndpoint._enqueue
+    _flush = UplinkEndpoint._flush
+    _heartbeat = UplinkEndpoint._heartbeat
+    _on_control = UplinkEndpoint._on_control
+
+    def __init__(
+        self,
+        build: BuildResult,
+        host_name: str,
+        targets: Sequence[PollTarget],
+        coordinator_ip: IPv4Address,
+        poll_interval: float,
+        jitter: float,
+        seed: int,
+        heartbeat_interval: Optional[float] = None,
+        batch_linger: Optional[float] = None,
+        max_batch: int = 8,
+        resend_buffer: int = 32,
+        poll_mode: str = "get",
+        pipeline_window: int = 0,
+        keyframe_every: int = 16,
+    ) -> None:
+        super().__init__(
+            build, host_name, coordinator_ip, poll_interval,
+            heartbeat_interval, batch_linger, max_batch, resend_buffer,
+            keyframe_every,
+        )
+        self.jitter = jitter
+        self.seed = seed
+        self.poll_mode = poll_mode
+        self.pipeline_window = pipeline_window
+        self._build_stack(list(targets))
+
+    @property
+    def requests_sent(self) -> int:
+        return self.manager.requests_sent
+
+    def _build_stack(self, targets: List[PollTarget]) -> None:
+        """(Re)create manager, poller and sockets (fresh after restart)."""
+        self.manager = SnmpManager(self.host)
+        self.poller = SnmpPoller(
+            self.manager,
+            targets,
+            interval=self.poll_interval,
+            jitter=self.jitter,
+            seed=self.seed,
+            rate_table=RateTable(keep_history=False),
+            poll_mode=self.poll_mode,
+            pipeline_window=self.pipeline_window,
+        )
+        self.poller.on_sample = self._enqueue
+        self._open_sockets()
+
+    def _reopen(self) -> None:
+        self._build_stack([])
+
+    def _begin_tasks(self) -> None:
+        if self.crashed:
+            return
+        self.poller.start(first_poll_at=self.sim.now)
+        super()._begin_tasks()
+
+    def _teardown(self) -> None:
+        self.poller.stop()
+        self.manager.cancel_all()  # drop in-flight polls so nothing ships late
+        self.manager.socket.close()
+        super()._teardown()
+
+    def _adopt(self, version: int, targets: List[PollTarget]) -> None:
+        added = {t.node for t in targets} - {t.node for t in self.poller.targets}
         self.poller.targets[:] = targets
         logger.info(
             "worker %s applied assignment v%d: %s",
@@ -617,13 +551,12 @@ class _Gap:
 class _WorkerIngest:
     """Per-stream sequencing state on the receiving coordinator.
 
-    Buffer entries are tagged: ``("s", [InterfaceRates, ...])`` for JSON
-    batches (parsed eagerly, so malformed documents surface as decode
-    errors at arrival) and ``("d", DeltaBatch)`` for binary delta batches
-    (parsed statelessly at arrival; the stateful
+    The reorder buffer holds :class:`~repro.core.deltas.DeltaBatch`es,
+    parsed statelessly at arrival (so malformed datagrams surface as
+    decode errors there); the stateful
     :class:`~repro.core.deltas.DeltaDecoder` applies them only at
     in-order delivery, because applying out of order would corrupt the
-    decoder's last-sample context).
+    decoder's last-sample context.
     """
 
     __slots__ = (
@@ -645,7 +578,7 @@ class _WorkerIngest:
         self.incarnation = 0  # adopts the worker's on first contact
         self.expected = 1  # next in-order batch seq
         self.anchored = anchored  # False: adopt the first observed seq
-        self.buffer: Dict[int, tuple] = {}  # seq -> out-of-order entry
+        self.buffer: Dict[int, DeltaBatch] = {}  # seq -> out-of-order batch
         self.gaps: Dict[int, _Gap] = {}
         self.delta = DeltaDecoder()
         self.kfreq_after = 0.0  # earliest next keyframe request
@@ -696,7 +629,6 @@ class DistributedMonitor:
         resend_buffer: int = 32,
         poll_mode: str = "get",
         pipeline_window: int = 0,
-        delta_shipping: bool = False,
         keyframe_every: int = 16,
         targets: Optional[Sequence[PollTarget]] = None,
         emit_reports: bool = True,
@@ -714,7 +646,6 @@ class DistributedMonitor:
         self.seed = seed
         self.poll_mode = poll_mode
         self.pipeline_window = pipeline_window
-        self.delta_shipping = delta_shipping
         self.keyframe_every = keyframe_every
         self.max_batch = max_batch
         self.resend_buffer = resend_buffer
@@ -878,7 +809,6 @@ class DistributedMonitor:
             resend_buffer=self.resend_buffer,
             poll_mode=self.poll_mode,
             pipeline_window=self.pipeline_window,
-            delta_shipping=self.delta_shipping,
             keyframe_every=self.keyframe_every,
         )
 
@@ -1016,9 +946,7 @@ class DistributedMonitor:
         try:
             doc = decode_message(payload)
             kind = doc["k"]
-            if kind == "batch":
-                self._on_batch(doc)
-            elif kind == "hb":
+            if kind == "hb":
                 self._on_heartbeat(doc)
             elif kind == "gone":
                 self._on_gone(doc)
@@ -1041,16 +969,8 @@ class DistributedMonitor:
             state.reset_for(incarnation)
         return state
 
-    def _on_batch(self, doc: Dict[str, object]) -> None:
-        worker = doc["w"]
-        samples = [_sample_from_doc(d) for d in doc["s"]]
-        state = self._ingest_state(worker, int(doc["inc"]))
-        if state is None:
-            return
-        self._on_sequenced(state, int(doc["q"]), ("s", samples))
-
     def _on_delta(self, payload: bytes) -> None:
-        """Binary delta batch: parse statelessly now, apply the stateful
+        """Sample batch: parse statelessly now, apply the stateful
         decoder only at in-order delivery."""
         try:
             batch = parse_delta(payload)
@@ -1060,9 +980,10 @@ class DistributedMonitor:
         state = self._ingest_state(batch.worker, batch.incarnation)
         if state is None:
             return
-        self._on_sequenced(state, batch.seq, ("d", batch))
+        self._on_sequenced(state, batch)
 
-    def _on_sequenced(self, state: _WorkerIngest, seq: int, entry: tuple) -> None:
+    def _on_sequenced(self, state: _WorkerIngest, batch: DeltaBatch) -> None:
+        seq = batch.seq
         if not state.anchored:
             # Adopting a mid-flight stream (coordinator resume): accept
             # from here instead of demanding retransmits back to seq 1;
@@ -1077,11 +998,11 @@ class DistributedMonitor:
             gap = state.gaps.pop(seq, None)
             if gap is not None and gap.attempts > 0:
                 self._m_gaps_filled.inc()
-            self._deliver_entry(state, entry)
+            self._deliver(state, batch)
             state.expected += 1
             self._drain(state)
         else:
-            state.buffer[seq] = entry
+            state.buffer[seq] = batch
             self._note_gaps(state, upto=seq)
 
     def _on_heartbeat(self, doc: Dict[str, object]) -> None:
@@ -1161,11 +1082,11 @@ class DistributedMonitor:
 
     def _drain(self, state: _WorkerIngest) -> None:
         while state.expected in state.buffer:
-            entry = state.buffer.pop(state.expected)
+            batch = state.buffer.pop(state.expected)
             gap = state.gaps.pop(state.expected, None)
             if gap is not None and gap.attempts > 0:
                 self._m_gaps_filled.inc()
-            self._deliver_entry(state, entry)
+            self._deliver(state, batch)
             state.expected += 1
 
     def _abandon_front_gaps(self, state: _WorkerIngest) -> None:
@@ -1180,6 +1101,11 @@ class DistributedMonitor:
             state.gaps.pop(state.expected)
             abandoned.append(state.expected)
             state.expected += 1
+            # A delta stream cannot advance over a hole: its per-interface
+            # context is now stale, so the batches drained past it (and
+            # all later ones) drop rate-only records until the sender
+            # re-states everything with a keyframe.
+            state.delta.mark_desync()
             self._drain(state)
         if not abandoned:
             return
@@ -1191,11 +1117,8 @@ class DistributedMonitor:
         for target in self._assignments.get(state.name, []):
             for if_index in target.if_indexes:
                 self.degraded.mark(target.node, if_index)
-        # A delta stream cannot advance over a hole: its per-interface
-        # context is now stale, so drop rate-only records until the
-        # sender re-states everything with a keyframe.
-        state.delta.mark_desync()
-        self._request_keyframe(state)
+        if state.delta.needs_keyframe:
+            self._request_keyframe(state)
         self.telemetry.events.publish(
             SAMPLE_GAP,
             self.sim.now,
@@ -1218,21 +1141,10 @@ class DistributedMonitor:
             (self.network.ip_of(state.name), CONTROL_PORT),
         )
 
-    def _deliver_entry(self, state: _WorkerIngest, entry: tuple) -> None:
-        kind, payload = entry
-        if kind == "d":
-            try:
-                samples = state.delta.apply(payload)
-            except DeltaError:
-                self._m_decode_errors.inc()
-                samples = []
-            if state.delta.needs_keyframe:
-                self._request_keyframe(state)
-        else:
-            samples = payload
-        self._deliver(state, samples)
-
-    def _deliver(self, state: _WorkerIngest, samples: List[InterfaceRates]) -> None:
+    def _deliver(self, state: _WorkerIngest, batch: DeltaBatch) -> None:
+        samples = state.delta.apply(batch)
+        if state.delta.needs_keyframe:
+            self._request_keyframe(state)
         self._m_batches.inc()
         state.delivered += 1
         for sample in samples:

@@ -21,12 +21,12 @@ construction rather than duplication:
   Shard assignment rides the same ``assign`` control message workers
   use, so a lost shard datagram heals through the same stale-echo
   resend.
-* **Leaf uplink** -- the leaf ships with the same
-  :class:`~repro.core.distributed.SampleShipper` a worker uses
-  (sequencing, bounded resend buffer, retransmit service), with delta
-  encoding on by default: quiescent shards cost a few bytes per
-  interface per batch, and periodic keyframes bound the cost of any
-  lost context.
+* **Leaf uplink** -- the leaf ships through the same
+  :class:`~repro.core.distributed.UplinkEndpoint` a worker uses
+  (sequencing, bounded resend buffer, retransmit service, heartbeats,
+  control listener): delta batches cost a quiescent shard a few bytes
+  per interface, and periodic keyframes bound the cost of any lost
+  context.
 * **Failover, twice** -- a dead *worker* is handled inside its leaf
   (the shard repartitions over the surviving workers); a dead *leaf*
   is handled by the root (its shard's targets repartition over the
@@ -45,15 +45,8 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.distributed import (
-    CONTROL_PORT,
-    REPORT_PORT,
-    DistributedMonitor,
-    SampleShipper,
-    decode_message,
-    encode_heartbeat,
-)
-from repro.core.poller import InterfaceRates, PollTarget
+from repro.core.distributed import DistributedMonitor, UplinkEndpoint
+from repro.core.poller import PollTarget
 from repro.simnet.address import IPv4Address
 from repro.spec.builder import BuildResult
 
@@ -74,18 +67,25 @@ class _PoolView:
         return list(self._dm._target_pool)
 
 
-class LeafCoordinator:
+class LeafCoordinator(UplinkEndpoint):
     """One shard: a local coordinator over its worker hosts, plus an
     uplink to the hierarchy root.
 
-    Presents the same surface to the root that a
-    :class:`~repro.core.distributed.MonitorWorker` presents to a flat
-    coordinator -- ``start``/``stop``/``crash``/``restart``, an
-    ``assign_version`` echo, a control listener serving ``retx`` /
-    ``assign`` / ``kfreq``, and sequenced (delta-encoded) sample
-    batches -- so the root can drive leaves with the unmodified flat
-    machinery.
+    The uplink is the same :class:`~repro.core.distributed.UplinkEndpoint`
+    a :class:`~repro.core.distributed.MonitorWorker` ships through --
+    ``start``/``stop``/``crash``/``restart``, an ``assign_version`` echo,
+    a control listener serving ``retx`` / ``assign`` / ``kfreq``, and
+    sequenced delta batches -- so the root drives leaves with the
+    unmodified flat machinery.  What differs is the sample source: the
+    shard's own :class:`~repro.core.distributed.DistributedMonitor`.
     """
+
+    # Bound in this class's own namespace so per-class instrumentation
+    # (perfbench/tracer.py) can wrap them.
+    _enqueue = UplinkEndpoint._enqueue
+    _flush = UplinkEndpoint._flush
+    _heartbeat = UplinkEndpoint._heartbeat
+    _on_control = UplinkEndpoint._on_control
 
     def __init__(
         self,
@@ -103,20 +103,11 @@ class LeafCoordinator:
         resend_buffer: int = 32,
         poll_mode: str = "bulk",
         pipeline_window: int = 8,
-        delta_shipping: bool = True,
         keyframe_every: int = 16,
     ) -> None:
-        self.build = build
-        self.name = host_name
-        self.host = build.network.host(host_name)
-        self.sim = self.host.sim
-        self.root_ip = root_ip
-        self.poll_interval = poll_interval
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else poll_interval * 0.4
-        )
-        self.batch_linger = (
-            batch_linger if batch_linger is not None else poll_interval * 0.25
+        super().__init__(
+            build, host_name, root_ip, poll_interval, heartbeat_interval,
+            batch_linger, max_batch, resend_buffer, keyframe_every,
         )
         # The shard: a full fault-tolerant plane over this leaf's
         # workers, aggregating into its own rate table; samples accepted
@@ -137,7 +128,6 @@ class LeafCoordinator:
             resend_buffer=resend_buffer,
             poll_mode=poll_mode,
             pipeline_window=pipeline_window,
-            delta_shipping=delta_shipping,
             keyframe_every=keyframe_every,
             targets=list(targets),
             emit_reports=False,
@@ -145,28 +135,9 @@ class LeafCoordinator:
         )
         self.dm.on_sample = self._enqueue
         self.poller = _PoolView(self.dm)  # root reads poller.targets
-        self.shipper = SampleShipper(
-            host_name,
-            self._send_up,
-            max_batch=max_batch,
-            resend_buffer=resend_buffer,
-            delta=delta_shipping,
-            keyframe_every=keyframe_every,
-        )
-        self.assign_version = 0
-        self.crashed = False
-        self._started = False
-        self._hb_task = None
-        self._flush_task = None
-        self.heartbeats_sent = 0
-        self.assignments_applied = 0
         self._open_sockets()
 
     # -- root-facing worker surface --------------------------------------
-    @property
-    def incarnation(self) -> int:
-        return self.shipper.incarnation
-
     @property
     def requests_sent(self) -> int:
         """Total SNMP requests issued by this shard's workers."""
@@ -179,129 +150,28 @@ class LeafCoordinator:
             (w.poller.window_peak for w in self.dm.workers.values()), default=0
         )
 
-    # -- construction / teardown -----------------------------------------
-    def _open_sockets(self) -> None:
-        self._uplink = self.host.create_socket()
-        self._listener = self.host.create_socket(CONTROL_PORT)
-        self._listener.on_receive = self._on_control
-
-    def _send_up(self, payload: bytes) -> None:
-        self._uplink.sendto(payload, (self.root_ip, REPORT_PORT))
-
-    # -- lifecycle --------------------------------------------------------
+    # -- lifecycle: the shard plane lives and dies with the leaf ---------
     def start(self, at: Optional[float] = None) -> None:
-        self._started = True
         self.dm.start(at=at)
-        if at is None or at <= self.sim.now:
-            self._begin_tasks()
-        else:
-            self.sim.schedule_at(at, self._begin_tasks)
-
-    def _begin_tasks(self) -> None:
-        if self.crashed:
-            return
-        start = self.sim.now
-        self._hb_task = self.sim.call_every(
-            self.heartbeat_interval, self._heartbeat, start=start
-        )
-        self._flush_task = self.sim.call_every(
-            self.batch_linger, self._flush, start=start + self.batch_linger
-        )
-
-    def _cancel_tasks(self) -> None:
-        for attr in ("_hb_task", "_flush_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                setattr(self, attr, None)
+        super().start(at)
 
     def stop(self) -> None:
-        self._started = False
-        if not self.crashed:
-            self._cancel_tasks()
-            self._uplink.close()
-            self._listener.close()
+        super().stop()
         self.dm.stop()
 
     def crash(self) -> None:
         """The leaf coordinator *process* dies.  Its workers -- separate
         hosts -- keep polling and shipping into the void; only the
         shard-local ingest, the uplink and the control listener go."""
-        if self.crashed:
-            return
-        self.crashed = True
-        self._cancel_tasks()
-        self._uplink.close()
-        self._listener.close()
+        super().crash()
         self.dm.suspend()
 
-    def restart(self) -> None:
-        """The process comes back: fresh uplink incarnation, fresh
-        shard ingest that *adopts* the workers' mid-flight streams, and
-        assignment version 0 so the root re-ships the shard."""
-        if not self.crashed:
-            return
-        self.crashed = False
-        self.shipper.reset(self.shipper.incarnation + 1)
-        self.assign_version = 0
+    def _reopen(self) -> None:
+        # The fresh shard ingest *adopts* the workers' mid-flight streams.
         self._open_sockets()
         self.dm.resume()
-        if self._started:
-            self._begin_tasks()
 
-    # -- uplink shipping ---------------------------------------------------
-    def _enqueue(self, sample: InterfaceRates) -> None:
-        if self.shipper.enqueue(sample):
-            self._flush()
-
-    def _flush(self) -> None:
-        if self.crashed:
-            return
-        self.shipper.flush()
-
-    def _heartbeat(self) -> None:
-        if self.crashed:
-            return
-        self.heartbeats_sent += 1
-        self._send_up(
-            encode_heartbeat(
-                self.name, self.incarnation, self.shipper.next_seq,
-                self.assign_version,
-            )
-        )
-
-    # -- control (root -> leaf) -------------------------------------------
-    def _on_control(self, payload, size, src_ip, src_port) -> None:
-        if payload is None or self.crashed:
-            return
-        try:
-            doc = decode_message(payload)
-            kind = doc["k"]
-            if kind == "retx":
-                self.shipper.serve_retransmit(doc)
-            elif kind == "assign":
-                self._apply_assignment(doc)
-            elif kind == "kfreq":
-                self.shipper.force_keyframe()
-        except (ValueError, KeyError, TypeError):
-            return  # malformed control traffic: ignore
-
-    def _apply_assignment(self, doc: Dict[str, object]) -> None:
-        version = int(doc["v"])
-        if version <= self.assign_version:
-            return  # duplicate or out-of-date: idempotent drop
-        network = self.build.network
-        targets = [
-            PollTarget(
-                node=t["n"],
-                address=network.ip_of(t["n"]),
-                if_indexes=[int(i) for i in t["ifs"]],
-                community=t["c"],
-            )
-            for t in doc["t"]
-        ]
-        self.assign_version = version
-        self.assignments_applied += 1
+    def _adopt(self, version: int, targets: List[PollTarget]) -> None:
         logger.info(
             "leaf %s applied shard v%d: %d targets",
             self.name, version, len(targets),
@@ -329,7 +199,6 @@ class HierarchicalMonitor(DistributedMonitor):
         poll_interval: float = 2.0,
         poll_mode: str = "bulk",
         pipeline_window: int = 8,
-        delta_shipping: bool = True,
         keyframe_every: int = 16,
         max_batch: int = 32,
         **kwargs,
@@ -353,7 +222,6 @@ class HierarchicalMonitor(DistributedMonitor):
             poll_interval=poll_interval,
             poll_mode=poll_mode,
             pipeline_window=pipeline_window,
-            delta_shipping=delta_shipping,
             keyframe_every=keyframe_every,
             max_batch=max_batch,
             **kwargs,
@@ -380,7 +248,6 @@ class HierarchicalMonitor(DistributedMonitor):
             resend_buffer=self.resend_buffer,
             poll_mode=self.poll_mode,
             pipeline_window=self.pipeline_window,
-            delta_shipping=self.delta_shipping,
             keyframe_every=self.keyframe_every,
         )
 
@@ -395,9 +262,6 @@ class HierarchicalMonitor(DistributedMonitor):
         out["shards"] = float(len(self.workers))
         for name, leaf in self.workers.items():
             out[f"per_shard_exchanges.{name}"] = float(leaf.requests_sent)
-            out[f"per_shard_delta_reduction.{name}"] = (
-                leaf.shipper.traffic_reduction
-            )
             out[f"per_shard_keyframes.{name}"] = float(
                 leaf.shipper.keyframes_shipped
             )

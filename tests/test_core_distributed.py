@@ -1,22 +1,28 @@
 """Tests for the fault-tolerant distributed-monitoring plane.
 
-Covers the sample/batch codecs (including type-confused payload
-hardening), deterministic target partitioning and its edge cases,
-normal-operation semantics vs. the single monitor, worker-crash
+Covers the sample batch codec (fuzzed and bit-flipped payloads raise
+only decode errors), deterministic target partitioning and its edge
+cases, normal-operation semantics vs. the single monitor, worker-crash
 failover/failback (the chaos acceptance scenario), ARQ gap repair under
-a network partition, and a hypothesis property proving sequence-number
-dedup never double-counts a sample.
+a network partition, delta resynchronisation after an unfillable gap,
+and a hypothesis property proving sequence-number dedup never
+double-counts a sample.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distributed import (
-    DistributedMonitor,
-    decode_sample,
-    encode_sample,
+from repro.core.deltas import (
+    DELTA_MAGIC,
+    DeltaDecoder,
+    DeltaEncoder,
+    DeltaError,
+    parse_delta,
 )
+from repro.core.distributed import DistributedMonitor
 from repro.core.health import WorkerState
 from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
@@ -26,31 +32,73 @@ from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
 ALL_SNMP_NODES = ["L", "N1", "N2", "S1", "S2", "switch"]
 
 
-def batch_doc(seq, samples=(("N1", 1),), worker="S1", inc=1):
-    """A coordinator-side batch document carrying one sample per source."""
-    return {
-        "k": "batch",
-        "w": worker,
-        "inc": inc,
-        "q": seq,
-        "s": [
-            {
-                "n": node, "i": if_index, "t": float(seq), "d": 1.0,
-                "ib": 10.0, "ob": 10.0, "ip": 1.0, "op": 1.0,
-            }
-            for node, if_index in samples
-        ],
-    }
+class Sender:
+    """One worker's delta batches, encoded in sequence order as the
+    worker's shipper would; the coordinator may receive them in any."""
+
+    def __init__(self, worker="S1", inc=1):
+        self.encoder = DeltaEncoder(worker)
+        self.inc = inc
+
+    def batch(self, seq, samples=(("N1", 1),), rate=10.0):
+        """Seq ``seq`` carrying one sample per source, stamped ``t=seq``.
+        A source whose ``rate`` is unchanged since its last batch travels
+        as a rate-only ADVANCE record, a moved one as CHANGED."""
+        return self.encoder.encode(
+            self.inc,
+            seq,
+            [
+                InterfaceRates(node, if_index, float(seq), 1.0, rate, rate, 1.0, 1.0)
+                for node, if_index in samples
+            ],
+        )
+
+
+def feed(dm, payload):
+    """Hand one datagram to the coordinator's report socket callback."""
+    dm._on_datagram(payload, len(payload), None, 1234)
+
+
+def mixed_batches():
+    """Three real batches from one sender: FULL, CHANGED, ADVANCE and
+    keyframe REFRESH records between them."""
+    sender = Sender()
+    sources = (("N1", 1), ("S1", 2))
+    return [
+        sender.batch(1, sources),
+        sender.batch(2, sources, rate=20.0),
+        sender.encoder.encode(
+            1, 3, [InterfaceRates("N1", 1, 3.0, 1.0, 20.0, 20.0, 1.0, 1.0)],
+            keyframe=True,
+        ),
+    ]
+
+
+@st.composite
+def bit_flipped(draw):
+    """A real batch with exactly one bit flipped."""
+    payload = bytearray(draw(st.sampled_from(mixed_batches())))
+    position = draw(st.integers(min_value=0, max_value=len(payload) * 8 - 1))
+    payload[position // 8] ^= 1 << (position % 8)
+    return bytes(payload)
 
 
 class TestSampleCodec:
     def test_roundtrip(self):
         sample = InterfaceRates("S1", 3, 12.5, 2.0, 100.5, 50.25, 10.0, 5.0)
-        assert decode_sample(encode_sample(sample)) == sample
+        payload = DeltaEncoder("S1").encode(1, 1, [sample])
+        assert DeltaDecoder().apply(parse_delta(payload)) == [sample]
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            decode_sample(b"not json")
+        non_utf8_name = bytearray(Sender().batch(1))
+        non_utf8_name[3] = 0xFF  # first byte of the worker name "S1"
+        for payload in (
+            b"not json",
+            bytes([DELTA_MAGIC]) + b" garbage",
+            bytes(non_utf8_name),
+        ):
+            with pytest.raises(DeltaError):
+                parse_delta(payload)
 
     @pytest.mark.parametrize(
         "payload",
@@ -67,16 +115,52 @@ class TestSampleCodec:
         ],
     )
     def test_type_confused_payloads_rejected(self, payload):
-        with pytest.raises((ValueError, KeyError, TypeError)):
-            decode_sample(payload)
+        """JSON documents are neither sample batches nor control
+        messages: the parser rejects them and the coordinator counts
+        each as one decode error."""
+        with pytest.raises(DeltaError):
+            parse_delta(payload)
+        _, dm = distributed()
+        feed(dm, payload)
+        assert dm.decode_errors == 1
 
     @settings(max_examples=200, deadline=None)
-    @given(st.binary(max_size=64))
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(lambda b: bytes([DELTA_MAGIC]) + b),
+        )
+    )
     def test_fuzzed_payloads_raise_only_decode_errors(self, payload):
         try:
-            decode_sample(payload)
-        except (ValueError, KeyError, TypeError):
+            parse_delta(payload)
+        except DeltaError:
             pass  # the documented decode-failure surface
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_flipped())
+    def test_bit_flipped_batches_raise_only_decode_errors(self, payload):
+        try:
+            parse_delta(payload)
+        except DeltaError:
+            pass
+
+    @settings(max_examples=40, deadline=None)
+    @given(corrupt=st.lists(bit_flipped(), min_size=1, max_size=4))
+    def test_coordinator_counts_corrupt_batches(self, corrupt):
+        """Corrupt datagrams never escape the socket callback: each one
+        the parser rejects is one decode error, and the rest are handled
+        like any batch (a mangled name is an unknown sender)."""
+        build, dm = distributed()
+        rejected = 0
+        for payload in corrupt:
+            try:
+                parse_delta(payload)
+            except DeltaError:
+                rejected += 1
+            feed(dm, payload)
+        assert dm.decode_errors == rejected
+        build.network.run(0.5)  # retransmit and keyframe requests go out
 
 
 def distributed(worker_hosts=("L", "S1", "S2"), **kwargs):
@@ -220,16 +304,21 @@ class TestOperation:
 
     def test_malformed_datagrams_counted_not_fatal(self):
         build, dm = distributed()
+        good = Sender().batch(1)
+        header = bytes([DELTA_MAGIC, 0, 2]) + b"S1" + bytes([1, 1])  # inc 1, seq 1
         bad = [
             b"\x00\xff garbage",
             b"[1,2,3]",
-            b'{"k": "batch", "w": "S1"}',  # missing inc/q/s
-            b'{"k": "batch", "w": ["S1"], "inc": 1, "q": 1, "s": {}}',
+            b'{"k": "batch", "w": "S1", "inc": 1, "q": 1, "s": []}',  # no JSON samples
             b'{"k": "wat"}',
             b'{"no": "kind"}',
+            good[:-3],  # truncated record
+            good + b"\x00",  # trailing bytes
+            header + bytes([1, 9, 1]),  # unknown record type
+            bytes([DELTA_MAGIC, 0, 2]) + b"\xffS" + bytes([1, 1, 0]),  # non-UTF-8 name
         ]
         for payload in bad:
-            dm._on_datagram(payload, len(payload), None, 1234)
+            feed(dm, payload)
         assert dm.decode_errors == len(bad)
         # The plane still works afterwards.
         dm.watch_path("S1", "N1")
@@ -313,27 +402,96 @@ class TestArq:
     def test_unfillable_gap_degrades_then_recovers(self):
         """A gap the worker can no longer serve (evicted from its resend
         buffer) is abandoned: the worker's assigned sources go degraded,
-        and fresh in-order samples clear the marks again."""
+        and fresh in-order samples clear the marks again.  The delta
+        stream desyncs too: the coordinator asks for a keyframe and drops
+        rate-only records until one arrives."""
         build, dm = distributed(integrity=False)
         # S1's affinity share is itself plus round-robined N2.
         assert sorted(dm.assigned_targets_of("S1")) == ["N2", "S1"]
-        dm._on_batch(batch_doc(1))
-        dm._on_batch(batch_doc(3))  # seq 2 never arrives: gap + retx
+        s1 = Sender()
+        first, _lost, third = s1.batch(1), s1.batch(2, rate=20.0), s1.batch(3, rate=30.0)
+        feed(dm, first)
+        feed(dm, third)  # seq 2 never arrives: gap + retx
         assert dm.stats()["gaps_detected"] == 1.0
         # The worker answers that seq 2 fell out of its resend buffer.
-        dm._on_gone({"k": "gone", "w": "S1", "inc": 1, "seqs": [2]})
+        feed(dm, json.dumps({"k": "gone", "w": "S1", "inc": 1, "seqs": [2]}).encode())
         dm._sweep()
         stats = dm.stats()
         assert stats["gaps_abandoned"] == 1.0
-        # Seq 3 was drained past the abandoned gap; nothing re-delivered.
+        # Seq 3 was drained past the abandoned gap (its CHANGED record
+        # carries complete values); nothing re-delivered.
         assert dm.samples_received == 2
         # Every source S1 is responsible for is now marked lossy...
         assert stats["degraded_sources"] == 2.0
         assert dm.degraded.is_degraded("S1", 1)
         assert dm.degraded.is_degraded("N2", 1)
         # ...until fresh in-order samples arrive and clear the marks.
-        dm._on_batch(batch_doc(4, samples=(("S1", 1), ("N2", 1))))
+        feed(dm, s1.batch(4, samples=(("S1", 1), ("N2", 1))))
         assert dm.stats()["degraded_sources"] == 0.0
+        assert dm.samples_received == 4
+
+        # Desync -> kfreq -> keyframe: one keyframe request went to S1...
+        assert dm.stats()["keyframe_requests"] == 1.0
+        # ...and until it is answered, a rate-only record is dropped.
+        feed(dm, s1.batch(5, rate=30.0))
+        assert dm.samples_received == 4
+        assert dm.rates.latest("N1", 1).time == 3.0
+        # S1 answers kfreq by re-stating everything in its next batch.
+        s1.encoder.force_keyframe()
+        feed(dm, s1.batch(6, rate=30.0))
+        assert dm.samples_received == 5
+        # Resynchronised: rate-only records are delivered again, and one
+        # request per backoff window was enough.
+        feed(dm, s1.batch(7, rate=30.0))
+        assert dm.samples_received == 6
+        assert dm.rates.latest("N1", 1).time == 7.0
+        assert dm.stats()["keyframe_requests"] == 1.0
+        assert dm.decode_errors == 0
+
+    def test_partition_past_resend_buffer_resyncs_by_keyframe(self):
+        """Live desync -> kfreq -> keyframe: batches lost beyond a
+        one-batch resend buffer are abandoned, and with no periodic
+        keyframes only the worker's answer to ``kfreq`` can resync the
+        coordinator's delta context.  (A long lease keeps the 5 s
+        partition from turning into a failover.)"""
+        build, dm = distributed(resend_buffer=1, keyframe_every=0, lease_timeout=8.0)
+        dm.watch_path("S1", "N1")
+        reports = []
+        dm.subscribe(reports.append)
+        net = build.network
+        uplink = net.host("S2").interfaces[0].link
+        NetworkPartition(net.sim, [uplink], at=10.0, until=15.0)
+        dm.start()
+        net.run(30.0)
+        stats = dm.stats()
+        assert stats["gaps_abandoned"] >= 1.0
+        assert stats["keyframe_requests"] >= 1.0
+        assert stats["failovers"] == 0.0
+        # The initial keyframe plus at least one on request.
+        assert dm.workers["S2"].shipper.keyframes_shipped >= 2
+        ingest = dm._ingest["S2"].delta
+        assert ingest.samples_skipped >= 1  # rate-only records dropped meanwhile
+        assert not ingest.desync
+        assert stats["degraded_sources"] == 0.0
+        late = [r for r in reports if r.time >= 20.0]
+        assert late and all(r.trusted for r in late)
+
+    def test_rate_only_records_past_an_abandoned_gap_are_dropped(self):
+        """A batch drained past an abandoned hole must not apply a
+        rate-only record to the context from before the hole: the lost
+        batch may have moved the rate it stands for."""
+        build, dm = distributed(integrity=False)
+        s1 = Sender()
+        first, _lost, third = s1.batch(1), s1.batch(2, rate=20.0), s1.batch(3, rate=20.0)
+        feed(dm, first)
+        feed(dm, third)  # ADVANCE: "still 20.0", but 20.0 rode seq 2
+        feed(dm, json.dumps({"k": "gone", "w": "S1", "inc": 1, "seqs": [2]}).encode())
+        dm._sweep()
+        assert dm.stats()["gaps_abandoned"] == 1.0
+        latest = dm.rates.latest("N1", 1)
+        assert (latest.time, latest.in_bytes_per_s) == (1.0, 10.0)
+        assert dm.samples_received == 1
+        assert dm.stats()["keyframe_requests"] == 1.0
 
 
 class TestSequenceDedup:
@@ -348,8 +506,10 @@ class TestSequenceDedup:
     )
     def test_each_sequence_delivered_exactly_once(self, order, dups):
         build, dm = distributed(integrity=False)
+        s1 = Sender()
+        payloads = {seq: s1.batch(seq) for seq in range(1, 9)}
         for seq in list(order) + dups:
-            dm._on_batch(batch_doc(seq))
+            feed(dm, payloads[seq])
         # All 8 unique batches delivered exactly once, however mangled
         # the arrival order and however many duplicates came in.
         assert dm.samples_received == 8
@@ -362,13 +522,15 @@ class TestSequenceDedup:
         must adopt the new incarnation instead of treating seq 1 as a
         duplicate of the old seq 1."""
         build, dm = distributed(integrity=False)
-        dm._on_batch(batch_doc(1))
-        dm._on_batch(batch_doc(2))
+        old = Sender(inc=1)
+        first, straggler = old.batch(1), old.batch(2)
+        feed(dm, first)
+        feed(dm, straggler)
         assert dm.samples_received == 2
-        restarted = batch_doc(1, inc=2)
-        dm._on_batch(restarted)
+        restarted = Sender(inc=2).batch(1)
+        feed(dm, restarted)
         assert dm.samples_received == 3
         assert dm.stats()["duplicate_batches"] == 0.0
         # Stragglers from the previous incarnation are dropped.
-        dm._on_batch(batch_doc(2))
+        feed(dm, straggler)
         assert dm.samples_received == 3

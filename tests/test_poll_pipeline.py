@@ -1,9 +1,11 @@
 """Pipelined poll scheduling, delta shipping, and measurement equivalence.
 
 The refactored poll path must change the *cost* of measurement, never
-the measurement itself: GetBulk batching, windowed scheduling and
-wire-level delta shipping all have equivalence tests against the
-naive per-varbind / JSON baselines here.
+the measurement itself: GetBulk batching and windowed scheduling have
+equivalence tests against the naive per-varbind baseline here, and
+wire-level delta shipping must land exactly the samples the workers'
+pollers produced.  What delta shipping saves is priced against the JSON
+batch encoding kept in ``tests/oracles/json_batch.py``.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import build_mib2
+from tests.oracles.json_batch import ShippedBatches
 
 
 def switch_poller(mode, ports=8, window=0, interval=2.0, with_agent=True):
@@ -193,16 +196,15 @@ class TestDeltaCodec:
             assert decoder.apply(batch) == samples
 
     def test_quiescent_stream_shrinks(self):
-        """Unchanged rates ship as ADVANCE records, far below the JSON
-        baseline's per-sample cost."""
+        """Unchanged rates ship as ADVANCE records, far below what the
+        same batches cost in JSON."""
         samples = [
             InterfaceRates("sw1", i, 10.0, 2.0, 100.0, 50.0, 10.0, 5.0)
             for i in range(1, 9)
         ]
         sent = []
-        shipper = SampleShipper(
-            "w1", sent.append, max_batch=8, delta=True, keyframe_every=0
-        )
+        shipper = SampleShipper("w1", sent.append, max_batch=8, keyframe_every=0)
+        meter = ShippedBatches(shipper)
         for cycle in range(10):
             for s in samples:
                 shipper.enqueue(
@@ -213,7 +215,9 @@ class TestDeltaCodec:
                     )
                 )
             shipper.flush()
-        assert shipper.traffic_reduction > 0.8
+        assert len(sent) == 10
+        assert meter.bytes_shipped == shipper.bytes_shipped
+        assert meter.reduction > 0.8
 
     def test_desync_drops_advance_until_keyframe(self):
         encoder = DeltaEncoder("w1")
@@ -242,17 +246,32 @@ class TestDeltaCodec:
         assert late.samples_skipped > 0
 
 
+def carries_no_shipping(key):
+    """Interfaces the workers' report shipping never crosses: the hub
+    side of the testbed (N1, N2).  Everywhere else the plane's own
+    datagrams are part of the measured traffic."""
+    return key[0] in ("N1", "N2")
+
+
 class TestShippedEquivalence:
-    def _run(self, delta):
+    def _run(self):
         build = build_testbed()
         dm = DistributedMonitor(
             build, MONITOR_HOST, ["L", "S1", "S2"], poll_interval=2.0,
-            delta_shipping=delta, max_batch=4,
+            max_batch=4,
         )
-        # The watch and the compared counters live on the hub side,
-        # which the workers' report shipping (whose byte count is
-        # exactly what delta encoding changes) never crosses -- the
-        # remaining keys must then match bit for bit.
+        # Tap every worker's poller and shipper before the first poll.
+        produced = {}
+        meters = []
+        for worker in dm.workers.values():
+            ship = worker.poller.on_sample
+
+            def tap(sample, ship=ship):
+                produced.setdefault((sample.node, sample.if_index), []).append(sample)
+                ship(sample)
+
+            worker.poller.on_sample = tap
+            meters.append(ShippedBatches(worker.shipper))
         dm.watch_path("N1", "N2")
         StaircaseLoad(
             build.network.host("S1"), build.network.ip_of("N1"),
@@ -260,36 +279,29 @@ class TestShippedEquivalence:
         ).start()
         dm.start()
         build.network.run(24.0)
-        table = {
-            key: dm.rates.latest(*key)
-            for key in dm.rates.keys()
-            if key[0] in ("N1", "N2")
-        }
-        reports = [
-            (r.time, r.bottleneck.used_bps, r.bottleneck.capacity_bps,
-             r.confidence)
-            for r in dm.history.series("N1<->N2").reports
-        ]
-        stats = dm.stats()
-        stats["_bytes_shipped"] = sum(
-            w.shipper.bytes_shipped for w in dm.workers.values()
-        )
-        stats["_bytes_baseline"] = sum(
-            w.shipper.bytes_baseline for w in dm.workers.values()
-        )
         dm.stop()
-        return table, reports, stats
+        return dm, produced, meters
 
     def test_delta_shipping_is_bit_identical(self):
-        """Same polls, same samples: the delta wire encoding must land
-        the exact same rate table and path reports as legacy JSON."""
-        t_json, r_json, s_json = self._run(delta=False)
-        t_delta, r_delta, s_delta = self._run(delta=True)
-        assert t_json == t_delta
-        assert r_json == r_delta
-        assert s_delta["samples_received"] == s_json["samples_received"]
+        """The rate-table keys the watch reads hold exactly the samples
+        the workers' pollers produced, bit for bit, in order."""
+        dm, produced, _ = self._run()
+        watched = [key for key in dm.rates.keys() if carries_no_shipping(key)]
+        assert watched
+        for key in watched:
+            landed = dm.rates.history(*key)
+            # Nothing invented, altered or reordered on the way...
+            assert landed == produced[key][: len(landed)]
+            # ...and nothing lost: only the cycle still lingering in a
+            # batch when the run stopped may be missing.
+            assert all(s.time > 22.0 for s in produced[key][len(landed):])
+        reports = dm.history.series("N1<->N2").reports
+        assert reports and reports[-1].trusted
+        assert dm.stats()["decode_errors"] == 0
 
     def test_delta_shipping_saves_traffic(self):
-        _, _, stats = self._run(delta=True)
-        assert stats["decode_errors"] == 0
-        assert stats["_bytes_shipped"] < stats["_bytes_baseline"]
+        dm, _, meters = self._run()
+        assert dm.stats()["decode_errors"] == 0
+        shipped = sum(m.bytes_shipped for m in meters)
+        assert shipped == sum(w.shipper.bytes_shipped for w in dm.workers.values())
+        assert shipped < sum(m.bytes_baseline for m in meters)
