@@ -30,7 +30,7 @@ segment along the path).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.counters import CounterSource, hub_host_connections, resolve_counter_source
 from repro.core.dataflow import ConnCacheEntry
@@ -520,6 +520,49 @@ class BandwidthCalculator:
         resolves it from the topology graph; see
         :func:`repro.core.traversal.pair_redundant`).
         """
+        measurements = tuple(
+            self.measure_connection(conn, now=time, fresh=fresh) for conn in path
+        )
+        confidences = [
+            self._confidence_cached(conn, m) for conn, m in zip(path, measurements)
+        ]
+        return self.compose_report(
+            src, dst, time, measurements, confidences, name=name, redundant=redundant
+        )
+
+    def measure_connections(
+        self, conns: Sequence[ConnectionSpec], now: float
+    ) -> Tuple[List[ConnectionMeasurement], List[Optional[float]]]:
+        """Each connection's measurement and confidence at ``now``.
+
+        For callers that compose many reports over shared connections
+        (the all-pairs matrix): every connection is measured once, and
+        :meth:`compose_report` builds each report from these lists.
+        """
+        measurements = [self.measure_connection(conn, now=now) for conn in conns]
+        confidences = [
+            self._confidence_cached(conn, m) for conn, m in zip(conns, measurements)
+        ]
+        return measurements, confidences
+
+    def compose_report(
+        self,
+        src: str,
+        dst: str,
+        time: float,
+        measurements: Tuple[ConnectionMeasurement, ...],
+        confidences: Sequence[Optional[float]],
+        name: Optional[str] = None,
+        redundant: bool = False,
+    ) -> PathReport:
+        """The :class:`PathReport` over a path's connection measurements.
+
+        ``confidences`` holds each connection's trust in path order (None:
+        not expected, excluded).  This is the one place a report's
+        freshness, confidence and trust status are derived, and where its
+        ``measure_path`` span, staleness observation, degraded/unavailable
+        counters and status-change events are emitted.
+        """
         tel = self.telemetry
         tracing = tel is not None and tel.enabled
         span = (
@@ -527,19 +570,9 @@ class BandwidthCalculator:
             if tracing
             else None
         )
-        measurements = tuple(
-            self.measure_connection(conn, now=time, fresh=fresh) for conn in path
-        )
         ages = [m.sample_age for m in measurements if m.sample_age is not None]
-        confidences = [
-            c
-            for c in (
-                self._confidence_cached(conn, m)
-                for conn, m in zip(path, measurements)
-            )
-            if c is not None
-        ]
-        confidence = min(confidences) if confidences else 1.0
+        trusted = [c for c in confidences if c is not None]
+        confidence = min(trusted) if trusted else 1.0
         report = PathReport(
             src=src,
             dst=dst,
@@ -549,7 +582,7 @@ class BandwidthCalculator:
             freshness=max(ages) if ages else None,
             confidence=confidence,
             degraded=confidence < 1.0,
-            unavailable=confidence <= 0.0 and bool(confidences),
+            unavailable=confidence <= 0.0 and bool(trusted),
             redundant=redundant,
         )
         if tracing:

@@ -1037,7 +1037,17 @@ class DistributedMonitor:
                 gap.next_retry = self.sim.now
 
     def _note_gaps(self, state: _WorkerIngest, upto: int) -> None:
-        """Register ARQ gaps for every missing seq in [expected, upto)."""
+        """Register ARQ gaps for the missing seqs in [expected, upto).
+
+        The sender keeps only its last ``resend_buffer`` batches, so a seq
+        further behind ``upto`` can never be refilled: those are abandoned
+        in one step and never listed (one corrupt or hostile seq near
+        2**60 would otherwise loop and allocate without bound).  Gaps are
+        registered for the last ``resend_buffer`` seqs at most.
+        """
+        floor = upto - self.resend_buffer
+        if floor > state.expected:
+            self._abandon_below(state, floor)
         new_gaps = [
             seq
             for seq in range(state.expected, upto)
@@ -1107,9 +1117,29 @@ class DistributedMonitor:
             # re-states everything with a keyframe.
             state.delta.mark_desync()
             self._drain(state)
-        if not abandoned:
-            return
-        self._m_gaps_abandoned.inc(len(abandoned))
+        if abandoned:
+            self._book_abandoned(state, len(abandoned), seqs=abandoned)
+
+    def _abandon_below(self, state: _WorkerIngest, floor: int) -> None:
+        """Give up on every seq below ``floor`` at once: the sender can no
+        longer resend them.  Batches buffered in that range are delivered
+        in order past the holes, as :meth:`_abandon_front_gaps` does."""
+        first = state.expected  # never buffered: it would have been delivered
+        state.delta.mark_desync()
+        lost = floor - first
+        for seq in sorted(s for s in state.buffer if s < floor):
+            self._deliver(state, state.buffer.pop(seq))
+            lost -= 1
+        for seq in [s for s in state.gaps if s < floor]:
+            del state.gaps[seq]
+        state.expected = floor
+        self._drain(state)
+        self._book_abandoned(state, lost, first=first, last=floor - 1)
+
+    def _book_abandoned(self, state: _WorkerIngest, lost: int, **detail) -> None:
+        """Count ``lost`` abandoned seqs, degrade the worker's sources, ask
+        for a keyframe if still needed, and publish one SAMPLE_GAP event."""
+        self._m_gaps_abandoned.inc(lost)
         # The lost batches carried samples for *some* of this worker's
         # interfaces; without them we cannot know which, so every counter
         # source currently assigned to the worker is marked lossy until a
@@ -1124,7 +1154,7 @@ class DistributedMonitor:
             self.sim.now,
             worker=state.name,
             action="abandoned",
-            seqs=abandoned,
+            **detail,
         )
 
     def _request_keyframe(self, state: _WorkerIngest) -> None:

@@ -11,9 +11,12 @@ Incremental mode (the default) keeps the previous snapshot and a reverse
 index from connections to the host pairs whose path crosses them.  A new
 snapshot re-reads each connection's epoch token (see
 :mod:`repro.core.dataflow`); pairs that cross no dirty connection reuse
-their previous report verbatim when the report instant is unchanged, and
-otherwise recompose it from the calculator's (memoized) connection
-measurements.  Output is bit-identical to ``incremental=False``.
+their previous report verbatim when the report instant is unchanged.
+Every other pair is composed connection-first: the many pairs cross few
+distinct connections, so each distinct connection is measured (through
+the calculator's memo) once per snapshot, and each pair's report is
+assembled from its legs' indices into those measurements.  Output is
+bit-identical to ``incremental=False``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.bandwidth import BandwidthCalculator
-from repro.core.report import PathReport
+from repro.core.report import ConnectionMeasurement, PathReport
 from repro.core.traversal import NoPathError, find_path
 from repro.topology.graph import TopologyGraph
 from repro.topology.model import ConnectionSpec, DeviceKind, TopologySpec
@@ -154,7 +157,9 @@ class BandwidthMatrix:
         self.hosts = list(hosts)
         # Paths traversed once, up front (topology is static, paper §3.2)
         # and re-traversed only when the graph's topology epoch moves.
-        self._paths: Dict[Tuple[str, str], Optional[list]] = {}
+        # Per pair: its report name and its path as indices into
+        # ``_conns`` (insertion order); None for a disconnected pair.
+        self._paths: Dict[Tuple[str, str], Optional[Tuple[str, Tuple[int, ...]]]] = {}
         self._conns: Dict[Tuple, ConnectionSpec] = {}
         self._pairs_of_conn: Dict[Tuple, List[Tuple[str, str]]] = {}
         self._topology_epoch: int = -1
@@ -185,18 +190,25 @@ class BandwidthMatrix:
         self._paths = {}
         self._conns = {}
         self._pairs_of_conn = {}
+        index: Dict[Tuple, int] = {}
         for i, a in enumerate(self.hosts):
             for b in self.hosts[i + 1:]:
                 try:
                     path = find_path(self.graph, a, b)
                 except NoPathError:
                     path = None
-                self._paths[(a, b)] = path
-                if path:
-                    for conn in path:
-                        key = conn.endpoints()
-                        self._conns.setdefault(key, conn)
-                        self._pairs_of_conn.setdefault(key, []).append((a, b))
+                if path is None:
+                    self._paths[(a, b)] = None
+                    continue
+                legs = []
+                for conn in path:
+                    key = conn.endpoints()
+                    if key not in index:
+                        index[key] = len(self._conns)
+                        self._conns[key] = conn
+                    legs.append(index[key])
+                    self._pairs_of_conn.setdefault(key, []).append((a, b))
+                self._paths[(a, b)] = (f"matrix:{a}<->{b}", tuple(legs))
 
     def snapshot(self, time: float) -> MatrixSnapshot:
         if not self.incremental:
@@ -206,12 +218,14 @@ class BandwidthMatrix:
                 self._build_paths()
                 self.last_snapshot_rebuilt = True
             reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
-            for (a, b), path in self._paths.items():
-                if path is None:
+            conns = list(self._conns.values())
+            for (a, b), plan in self._paths.items():
+                if plan is None:
                     reports[(a, b)] = None
                 else:
+                    name, legs = plan
                     reports[(a, b)] = self.calculator.measure_path(
-                        path, a, b, time=time, name=f"matrix:{a}<->{b}", fresh=True
+                        [conns[i] for i in legs], a, b, time=time, name=name, fresh=True
                     )
             return MatrixSnapshot(hosts=list(self.hosts), time=time, reports=reports)
         return self._snapshot_incremental(time)
@@ -238,9 +252,13 @@ class BandwidthMatrix:
         # recomposed from the calculator's memoized measurements, which is
         # cheap but produces a new PathReport with fresh age figures.
         same_time = self._prev_time == time and bool(self._prev_reports)
+        calc = self.calculator
+        measurements: List[ConnectionMeasurement] = []
+        confidences: List[Optional[float]] = []
+        measured = False
         reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
-        for (a, b), path in self._paths.items():
-            if path is None:
+        for (a, b), plan in self._paths.items():
+            if plan is None:
                 reports[(a, b)] = None
                 continue
             if same_time and (a, b) not in dirty_pairs:
@@ -249,8 +267,21 @@ class BandwidthMatrix:
                     reports[(a, b)] = prev
                     self.pair_cache_hits += 1
                     continue
-            reports[(a, b)] = self.calculator.measure_path(
-                path, a, b, time=time, name=f"matrix:{a}<->{b}"
+            if not measured:
+                # Each distinct connection once per snapshot; every pair
+                # below shares these objects.
+                measurements, confidences = calc.measure_connections(
+                    list(self._conns.values()), time
+                )
+                measured = True
+            name, legs = plan
+            reports[(a, b)] = calc.compose_report(
+                a,
+                b,
+                time,
+                tuple([measurements[i] for i in legs]),
+                [confidences[i] for i in legs],
+                name=name,
             )
             self.pair_recomputes += 1
         self._prev_reports = reports

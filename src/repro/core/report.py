@@ -19,6 +19,7 @@ bandwidth" and "no idea".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.topology.model import ConnectionSpec, InterfaceRef
@@ -26,7 +27,14 @@ from repro.topology.model import ConnectionSpec, InterfaceRef
 
 @dataclass(frozen=True)
 class ConnectionMeasurement:
-    """One connection's bandwidth figures at one instant."""
+    """One connection's bandwidth figures at one instant.
+
+    ``available_bps`` (a_i = m_i - u_i, floored at zero; a downed link
+    offers nothing) is derived from the fields once, at construction: a
+    measurement is shared by every path report crossing its connection,
+    and each of those reads it.  It is not a field, so equality, ``repr``
+    and ``dataclasses.replace`` see only the inputs.
+    """
 
     connection: ConnectionSpec
     capacity_bps: float  # m_i: static bandwidth (ifSpeed / spec)
@@ -40,12 +48,11 @@ class ConnectionMeasurement:
     quarantined: bool = False  # counter source held by the integrity pipeline
     degraded_source: bool = False  # distributed plane knows newer data was lost
 
-    @property
-    def available_bps(self) -> float:
-        """a_i = m_i - u_i, floored at zero; a downed link offers nothing."""
-        if self.rule == "down":
-            return 0.0
-        return max(0.0, self.capacity_bps - self.used_bps)
+    def __post_init__(self) -> None:
+        available = (
+            0.0 if self.rule == "down" else max(0.0, self.capacity_bps - self.used_bps)
+        )
+        object.__setattr__(self, "available_bps", available)
 
     @property
     def utilization(self) -> float:
@@ -54,6 +61,9 @@ class ConnectionMeasurement:
     @property
     def measured(self) -> bool:
         return self.rule != "unmeasured"
+
+
+_available = attrgetter("available_bps")
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class PathReport:
             return float("nan")
         if not self.connections:
             return float("inf")
-        return min(m.available_bps for m in self.connections)
+        return min([m.available_bps for m in self.connections])
 
     @property
     def used_bps(self) -> float:
@@ -145,7 +155,7 @@ class PathReport:
         """The connection with the least available bandwidth."""
         if not self.connections:
             return None
-        return min(self.connections, key=lambda m: m.available_bps)
+        return min(self.connections, key=_available)
 
     @property
     def label(self) -> str:

@@ -10,25 +10,24 @@ The paper's experiments run for a few hundred simulated seconds with loads
 up to 2000 KB/s of 1472-byte datagrams; at roughly five events per frame
 that is a few million events per experiment, which this pure-Python heap
 handles in seconds.
+
+The heap holds plain ``(time, seq, handle)`` tuples.  ``seq`` comes from a
+counter and is unique, so tuple comparison settles on ``(time, seq)`` --
+FIFO among equal timestamps -- and never reaches the handle; a tuple
+compares in C, where an ordered dataclass entry paid a Python-level
+``__lt__`` per comparison.  Events are popped through the module attribute
+``heapq.heappop`` (no local alias), so a profiler may substitute it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised for scheduler misuse (negative delays, running backwards)."""
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -86,7 +85,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -125,7 +124,7 @@ class Simulator:
                 f"cannot schedule at t={time!r}, clock already at t={self._now!r}"
             )
         handle = EventHandle(time, callback, args, kwargs)
-        heapq.heappush(self._heap, _HeapEntry(time, next(self._seq), handle))
+        heapq.heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def call_every(
@@ -165,12 +164,11 @@ class Simulator:
             raise SimulationError(f"cannot run backwards to t={until!r}")
         self._running = True
         try:
-            while self._heap and self._heap[0].time <= until:
-                entry = heapq.heappop(self._heap)
-                handle = entry.handle
+            while self._heap and self._heap[0][0] <= until:
+                time, _, handle = heapq.heappop(self._heap)
                 if handle.cancelled:
                     continue
-                self._now = entry.time
+                self._now = time
                 handle.fired = True
                 self._events_processed += 1
                 handle.callback(*handle.args, **handle.kwargs)
@@ -183,15 +181,14 @@ class Simulator:
         self._running = True
         try:
             while self._heap:
-                entry = self._heap[0]
-                if entry.time > max_time:
+                time, _, handle = self._heap[0]
+                if time > max_time:
                     self._now = max_time
                     return
                 heapq.heappop(self._heap)
-                handle = entry.handle
                 if handle.cancelled:
                     continue
-                self._now = entry.time
+                self._now = time
                 handle.fired = True
                 self._events_processed += 1
                 handle.callback(*handle.args, **handle.kwargs)
@@ -200,7 +197,7 @@ class Simulator:
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.handle.cancelled)
+        return sum(1 for _, _, handle in self._heap if not handle.cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now:.6f} queued={len(self._heap)}>"

@@ -63,6 +63,11 @@ class SubscriptionManager:
         self._subs: Dict[str, Subscription] = {}
         self._by_pair: Dict[PairKey, List[Subscription]] = {}
         self._wildcards: List[Subscription] = []
+        # The few subscriptions the publisher must visit every cycle
+        # (heartbeats; ``block`` queues that may stall), so a cycle does
+        # not scan every subscriber.
+        self._heartbeats: Dict[str, Subscription] = {}
+        self._blocking: Dict[str, Subscription] = {}
         self.events_suppressed = 0  # publisher reports filter suppressions here
         self._g_subs = None
         self._m_delivered = None
@@ -117,6 +122,10 @@ class SubscriptionManager:
             deliver_unchanged=deliver_unchanged,
         )
         self._subs[name] = sub
+        if deliver_unchanged:
+            self._heartbeats[name] = sub
+        if policy is OverflowPolicy.BLOCK:
+            self._blocking[name] = sub
         if normalised is None:
             self._wildcards.append(sub)
         else:
@@ -129,6 +138,8 @@ class SubscriptionManager:
             sub = self._subs.pop(name)
         except KeyError:
             raise StreamError(f"no subscription {name!r}") from None
+        self._heartbeats.pop(name, None)
+        self._blocking.pop(name, None)
         if sub.pairs is None:
             self._wildcards.remove(sub)
         else:
@@ -147,6 +158,18 @@ class SubscriptionManager:
 
     def subscriptions(self) -> List[Subscription]:
         return [self._subs[name] for name in sorted(self._subs)]
+
+    def heartbeat_subscriptions(self) -> List[Subscription]:
+        """The ``deliver_unchanged`` subscriptions, in name order."""
+        return [self._heartbeats[name] for name in sorted(self._heartbeats)]
+
+    def stalled_subscriptions(self) -> List[Subscription]:
+        """The stalled ``block`` subscriptions, in name order."""
+        return [
+            self._blocking[name]
+            for name in sorted(self._blocking)
+            if self._blocking[name].stalled
+        ]
 
     def __len__(self) -> int:
         return len(self._subs)

@@ -226,9 +226,7 @@ class MatrixPublisher:
         self, snapshot: MatrixSnapshot, time: float, epoch: int
     ) -> None:
         """Per-cycle events for ``deliver_unchanged`` subscriptions."""
-        for sub in self.manager.subscriptions():
-            if not sub.deliver_unchanged or sub.pairs is None:
-                continue
+        for sub in self.manager.heartbeat_subscriptions():
             for key in sorted(sub.pairs):
                 report = self._report_for(snapshot, key)
                 if report is None:
@@ -241,9 +239,7 @@ class MatrixPublisher:
         self, snapshot: MatrixSnapshot, time: float, epoch: int
     ) -> None:
         """Re-deliver current values to drained ``block`` subscriptions."""
-        for sub in self.manager.subscriptions():
-            if not sub.stalled:
-                continue
+        for sub in self.manager.stalled_subscriptions():
             missed = sub.resync_pairs()
             if not missed:
                 continue  # backlog not drained yet; stay stalled

@@ -10,6 +10,7 @@ double-counts a sample.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
 from repro.simnet.faults import NetworkPartition, WorkerCrash
 from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
+from repro.telemetry.events import SAMPLE_GAP
 
 ALL_SNMP_NODES = ["L", "N1", "N2", "S1", "S2", "switch"]
 
@@ -492,6 +494,42 @@ class TestArq:
         assert (latest.time, latest.in_bytes_per_s) == (1.0, 10.0)
         assert dm.samples_received == 1
         assert dm.stats()["keyframe_requests"] == 1.0
+
+
+    @pytest.mark.parametrize("via", ["heartbeat", "batch"])
+    def test_far_ahead_seq_abandons_the_unrefillable_span_at_once(self, via):
+        """One corrupt or hostile seq near 2**60 must not make the
+        coordinator list every missing seq: the sender can resend only
+        its last ``resend_buffer`` batches, so everything older is
+        abandoned in one step and ARQ covers the rest."""
+        build, dm = distributed(integrity=False, resend_buffer=8)
+        s1 = Sender()
+        feed(dm, s1.batch(1))
+        far = 2**60
+        begin = time.perf_counter()
+        if via == "heartbeat":
+            feed(dm, json.dumps({"k": "hb", "w": "S1", "inc": 1, "q": far}).encode())
+        else:
+            feed(dm, s1.batch(far))
+        assert time.perf_counter() - begin < 1.0
+        state = dm._ingest["S1"]
+        assert 0 < len(state.gaps) <= dm.resend_buffer
+        assert state.expected == far - dm.resend_buffer
+        abandoned = [
+            e for e in dm.telemetry.events.events(SAMPLE_GAP)
+            if e.attrs["action"] == "abandoned"
+        ]
+        assert len(abandoned) == 1
+        assert (abandoned[0].attrs["first"], abandoned[0].attrs["last"]) == (
+            2, far - dm.resend_buffer - 1)
+        stats = dm.stats()
+        assert stats["gaps_detected"] == len(state.gaps)
+        assert stats["gaps_abandoned"] == far - dm.resend_buffer - 2
+        # The worker's sources are lossy and a keyframe was requested.
+        assert dm.degraded.is_degraded("S1", 1)
+        assert dm.degraded.is_degraded("N2", 1)
+        assert stats["keyframe_requests"] == 1.0
+        assert state.delta.desync
 
 
 class TestSequenceDedup:

@@ -22,6 +22,8 @@ from repro.core.traversal import NoPathError, find_all_paths, find_path
 from repro.experiments.scale import populate_rates, scale_spec
 from repro.integrity.quarantine import QuarantineManager
 from repro.integrity.validators import IntegrityVerdict, Severity
+from repro.telemetry import Telemetry
+from repro.telemetry.events import REPORT_STATUS
 from repro.topology.graph import TopologyGraph
 
 
@@ -403,3 +405,72 @@ def test_incremental_equals_full_recompute(ops):
         assert np.array_equal(
             got.values("utilization"), want.values("utilization"), equal_nan=True
         )
+
+
+# ----------------------------------------------------------------------
+# Telemetry: connection-first composition ≡ per-pair measure_path
+# ----------------------------------------------------------------------
+def _telemetry_view(tel):
+    registry = tel.registry
+    staleness = registry.get("report_staleness_seconds")
+    return {
+        "spans_started": tel.tracer.spans_started,
+        "spans_finished": tel.tracer.spans_finished,
+        "staleness_count": staleness.count,
+        "staleness_sum": registry.value("report_staleness_seconds")["sum"],
+        "staleness_quantiles": staleness.quantiles(),
+        "degraded": registry.value("reports_degraded_total"),
+        "unavailable": registry.value("reports_unavailable_total"),
+        "status_events": [
+            (e.time, dict(e.attrs)) for e in tel.events.events(REPORT_STATUS)
+        ],
+    }
+
+
+def test_matrix_telemetry_equals_per_pair_measurement():
+    """The incremental matrix composes reports connection-first; the
+    naive one calls ``measure_path`` per pair.  Both go through the one
+    report-assembly path, so every span, staleness observation, trust
+    counter and status event must agree while pairs go fresh → degraded
+    → unavailable → fresh (one snapshot per instant: a same-instant
+    verbatim reuse emits nothing by design)."""
+    spec = scale_spec(switches=2, hosts_per_switch=3, arity=1, hub_pockets=1, hub_hosts=2)
+    rates = RateTable()
+    clock = {"t": 0.0}
+    matrices = []
+    for incremental in (True, False):
+        tel = Telemetry(clock=lambda: clock["t"], event_capacity=100_000)
+        calc = BandwidthCalculator(
+            spec, rates, stale_after=4.0, dead_after=12.0, telemetry=tel,
+            incremental=incremental,
+        )
+        matrices.append((BandwidthMatrix(spec, calc, incremental=incremental), tel))
+    populate_rates(spec, rates, time=0.0)
+    keys = sorted(rates.keys())
+    # (instant, sources refreshed just before it): a partial refresh makes
+    # some pairs dirty and others clean; the gaps age samples past
+    # stale_after, then past dead_after; a full refresh brings all back.
+    steps = [(1.0, ()), (2.0, keys[:2]), (6.0, ()), (9.0, ()), (13.0, ()),
+             (14.0, "all"), (16.0, ())]
+    (inc, _), (naive, _) = matrices
+    reports = 0
+    for t, refresh in steps:
+        clock["t"] = t
+        if refresh == "all":
+            populate_rates(spec, rates, time=t)
+        else:
+            for key in refresh:
+                rates.update(sample(key[0], key[1], t, bps=3e6))
+        snap = inc.snapshot(t)
+        assert snap.reports == naive.snapshot(t).reports
+        reports += sum(report is not None for report in snap.reports.values())
+
+    got = _telemetry_view(matrices[0][1])
+    want = _telemetry_view(matrices[1][1])
+    assert got == want
+    # The sequence really walked every trust level.
+    assert got["degraded"] > 0 and got["unavailable"] > 0
+    news = [attrs["new"] for _, attrs in got["status_events"]]
+    assert "degraded" in news and "unavailable" in news
+    assert news.index("fresh") > news.index("unavailable")
+    assert got["spans_started"] == got["spans_finished"] == reports

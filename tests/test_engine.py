@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.engine import SimulationError, Simulator
 
@@ -196,3 +198,107 @@ class TestPeriodicTask:
         task = sim.call_every(1.0, lambda: None)
         sim.run(4.0)
         assert task.firings == 4
+
+
+# ----------------------------------------------------------------------
+# Property: firing order is the sort by (time, scheduling order)
+# ----------------------------------------------------------------------
+# One generated event: (parent, relative?, offset, cancels).  An event
+# whose parent index is lower than its own is scheduled by that parent's
+# callback (so events are added during run); any other is scheduled up
+# front.  ``relative`` picks ``schedule(offset)`` over
+# ``schedule_at(now + offset)``; the few offsets make equal timestamps
+# common.  When it fires, an event cancels event ``cancels`` if that one
+# was scheduled by then (pending or already fired).
+_EVENT = st.tuples(
+    st.integers(-1, 24),
+    st.booleans(),
+    st.sampled_from([0.0, 0.25, 1.0, 2.5]),
+    st.integers(-1, 24),
+)
+
+
+class _ReferenceQueue:
+    """The specification: repeatedly fire the live event that sorts first
+    by (time, scheduling order)."""
+
+    def __init__(self, events):
+        self.events = events
+        self.now = 0.0
+        self.queue = []  # (time, order, event index)
+        self.order = 0
+        self.scheduled = set()
+        self.cancelled = set()
+        self.fired = []
+
+    def place(self, i):
+        self.queue.append((self.now + self.events[i][2], self.order, i))
+        self.order += 1
+        self.scheduled.add(i)
+
+    def pending(self):
+        return sorted(e for e in self.queue if e[2] not in self.cancelled)
+
+    def run(self, until, children):
+        while True:
+            live = self.pending()
+            if not live or live[0][0] > until:
+                break
+            time, order, i = live[0]
+            self.queue.remove(live[0])
+            self.now = time
+            self.fired.append((i, time))
+            for child in children[i]:
+                self.place(child)
+            target = self.events[i][3]
+            if target in self.scheduled:
+                self.cancelled.add(target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    events=st.lists(_EVENT, min_size=1, max_size=25),
+    untils=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 4.0]), max_size=4),
+)
+def test_firing_order_matches_reference_sort(events, untils):
+    children = {i: [] for i in range(len(events))}
+    roots = []
+    for i, (parent, _, _, _) in enumerate(events):
+        (children[parent] if 0 <= parent < i else roots).append(i)
+
+    sim = Simulator()
+    handles = {}
+    fired = []
+
+    def place(i):
+        _, relative, offset, _ = events[i]
+        if relative:
+            handles[i] = sim.schedule(offset, fire, i)
+        else:
+            handles[i] = sim.schedule_at(sim.now + offset, fire, i)
+
+    def fire(i):
+        fired.append((i, sim.now))
+        for child in children[i]:
+            place(child)
+        target = events[i][3]
+        if target in handles:
+            handles[target].cancel()
+
+    ref = _ReferenceQueue(events)
+    for i in roots:
+        place(i)
+        ref.place(i)
+
+    for until in sorted(untils):
+        sim.run(until)
+        ref.run(until, children)
+        assert fired == ref.fired
+        assert sim.now == until
+        assert sim.events_processed == len(ref.fired)
+        assert sim.pending_count() == len(ref.pending())
+    sim.run_until_idle()
+    ref.run(float("inf"), children)
+    assert fired == ref.fired
+    assert sim.events_processed == len(fired)
+    assert sim.pending_count() == 0

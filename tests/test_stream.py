@@ -635,6 +635,26 @@ class TestPublisher:
         assert [e.time for e in seen] == [0.5, 2.5, 4.5]
         assert len(quiet) == 1  # the change-only sub saw just the first
 
+    def test_unsubscribed_heartbeat_and_block_subscriptions_are_not_served(self):
+        spec, rates, publisher = make_publisher()
+        hosts = publisher.matrix.hosts
+        pair = pair_key(hosts[0], hosts[1])
+        seen = []
+        publisher.manager.subscribe(
+            "hb", pairs=[pair], callback=seen.append, deliver_unchanged=True
+        )
+        slow = publisher.manager.subscribe(
+            "slow", policy=OverflowPolicy.BLOCK, bound=2
+        )
+        publisher.publish(0.5)
+        assert len(seen) == 1 and slow.stalled
+        publisher.manager.unsubscribe("hb")
+        publisher.manager.unsubscribe("slow")
+        slow.drain()
+        publisher.publish(2.5)
+        assert len(seen) == 1  # no heartbeat after unsubscribe
+        assert len(slow) == 0 and slow.stalled  # no resync either
+
     def test_block_subscriber_resyncs_after_drain(self):
         spec, rates, publisher = make_publisher()
         sub = publisher.manager.subscribe(
